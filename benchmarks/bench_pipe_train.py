@@ -1,8 +1,8 @@
 """Packet-train batching microbenchmark: batched pipes vs per-packet.
 
-Pits ``Simulator(fast=True)`` — where every shaped ``DummynetPipe``
+Pits ``SimConfig(fast=True)`` — where every shaped ``DummynetPipe``
 coalesces back-to-back serialization events into packet-train events —
-against ``Simulator(fast=False)``, whose pipes schedule one kernel
+against ``SimConfig(fast=False)``, whose pipes schedule one kernel
 event per delivery (the ``REPRO_SLOW_PATH`` reference twin).
 
 The workload is the shape batching targets: per-pipe bursts, as when a
@@ -33,6 +33,7 @@ import time
 
 from repro.net.packet import Packet
 from repro.net.pipe import DummynetPipe
+from repro.sim.config import SimConfig
 from repro.sim.kernel import Simulator
 from repro.net.addr import ip
 
@@ -59,7 +60,7 @@ DST = ip("10.0.0.2")
 
 def pipe_burst(fast: bool, pipes: int = N_PIPES, observe: bool = False):
     """Run the wave workload; returns (wall, delivered, events)."""
-    sim = Simulator(seed=1, observe=observe, fast=fast)
+    sim = Simulator(seed=1, observe=observe, config=SimConfig(fast=fast))
     links = [
         DummynetPipe(
             sim, bandwidth=BANDWIDTH, delay=0.01 * (i + 1), name=f"p{i}"
@@ -112,7 +113,7 @@ def test_pipe_train_speedup(benchmark, bench_json):
     # One observed (untimed) run for train telemetry: how much of the
     # delivery stream actually coalesced (wall-only counters — the
     # timed runs use observe=False and pay nothing for them).
-    sim = Simulator(seed=1, observe=True, fast=True)
+    sim = Simulator(seed=1, observe=True, config=SimConfig(fast=True))
     link = DummynetPipe(sim, bandwidth=BANDWIDTH, delay=0.01, name="t")
     for _ in range(BURST):
         link.transmit(Packet(SRC, DST, "udp", PACKET_BYTES), lambda p: None)

@@ -46,6 +46,9 @@ Kinds emitted by the runtime:
   check_stalls`).
 * ``resume_report`` — summary of previously-failed points found in a
   checkpoint when resuming.
+* ``worker_exited`` — end of a worker's stream, sent by the parent
+  that shut the worker down or reaped it (see :class:`~repro.runtime.
+  executor.CommandWorker`); the hub stops expecting its heartbeats.
 
 Stall watchdog semantics
 ------------------------
@@ -55,10 +58,13 @@ worker cannot even run its daemon thread, or the pipe is jammed), or
 (b) heartbeats arrive but no progress signal advanced — no probe's
 ``events`` or sim clock moved and no point finished (soft wedge: the
 worker is alive but the simulation is stuck). Check (b) applies only
-to workers that registered probes; a probe-less worker promises
-liveness, not visible progress. The watchdog names the wedged source
-and its frozen probe labels instead of leaving a silent hang until
-the per-point timeout.
+to workers whose latest heartbeats carried probes; a probe-less beat
+(such as an idle pool worker's between points) promises liveness, not
+visible progress. Progress means the probe totals *changed*, so a
+persistent worker starting a fresh simulator counts as advancing. A
+worker that exited is never stalled. The watchdog names the wedged
+source and its frozen probe labels instead of leaving a silent hang
+until the per-point timeout.
 """
 
 from __future__ import annotations
@@ -148,8 +154,7 @@ class CallbackEmitter:
         return f"CallbackEmitter({self.source!r})"
 
 
-def pipe_emitter(conn, lock: threading.Lock, source: str,
-                 static: Optional[Dict[str, Any]] = None) -> CallbackEmitter:
+def pipe_emitter(conn, lock: threading.Lock, source: str) -> CallbackEmitter:
     """Emitter that ships events up a multiprocessing ``Connection`` as
     ``("telemetry", event)`` messages, interleaved (under ``lock``) with
     the worker's normal protocol replies."""
@@ -158,7 +163,7 @@ def pipe_emitter(conn, lock: threading.Lock, source: str,
         with lock:
             conn.send(("telemetry", event))
 
-    return CallbackEmitter(sink, source, static)
+    return CallbackEmitter(sink, source)
 
 
 # -- ambient emitter ----------------------------------------------------
@@ -468,6 +473,8 @@ class TelemetryHub:
         elif kind in ("point_started", "point_finished", "point_retried",
                       "point_crashed", "point_failed"):
             self._apply_point(kind, event, source, now)
+        elif kind == "worker_exited" and source in self.workers:
+            self.workers[source]["exited"] = True
         # stall / resume_report events carry no additional state: they
         # exist for the flight log and the watch view.
 
@@ -503,7 +510,7 @@ class TelemetryHub:
             "beats": 0, "rss_bytes": 0.0, "cpu_seconds": 0.0,
             "packet_pool_free": 0.0, "events": 0, "sim_time": 0.0,
             "queue_depth": 0, "events_per_sec": 0.0, "probes": {},
-            "point": None,
+            "point": None, "exited": False,
         })
 
     def _mark_advance(self, source: str, now: float) -> None:
@@ -530,7 +537,7 @@ class TelemetryHub:
         total_events = 0
         total_depth = 0
         prev_sim_time = worker["sim_time"]
-        max_sim_time = prev_sim_time
+        max_sim_time = 0.0
         for probe in probes:
             label = str(probe.get("label", "?"))
             worker["probes"][label] = probe
@@ -544,18 +551,20 @@ class TelemetryHub:
             # of each run() window (hot-path discipline), so the event
             # count can sit still across a whole window while the sim
             # clock — updated per event — advances live. Either signal
-            # moving means the worker is making progress.
-            if total_events > prev_events or max_sim_time > prev_sim_time:
+            # moving means the worker is making progress; "moving"
+            # includes going down, which is a pool worker's next point
+            # starting a fresh simulator.
+            if total_events != prev_events or max_sim_time != prev_sim_time:
                 worker["last_advance_ts"] = now
                 self._stalled_flagged.pop(source, None)
             if prev_ts is not None and now > prev_ts:
-                worker["events_per_sec"] = (
-                    (total_events - prev_events) / (now - prev_ts)
+                worker["events_per_sec"] = max(
+                    0.0, (total_events - prev_events) / (now - prev_ts)
                 )
             worker["events"] = total_events
-        elif worker["last_advance_ts"] is None:
-            # No probes at all: the first heartbeat anchors the stall
-            # clock so check (b) never fires spuriously on arrival.
+        else:
+            # No live probes: the beat promises liveness only, so it
+            # re-anchors the progress clock and check (b) cannot fire.
             worker["last_advance_ts"] = now
 
     # -- views ----------------------------------------------------------
@@ -564,10 +573,11 @@ class TelemetryHub:
         for source, worker in sorted(self.workers.items()):
             last = worker["last_ts"]
             advance = worker["last_advance_ts"]
-            if last is None or worker["beats"] == 0:
+            if last is None or worker["beats"] == 0 or worker["exited"]:
                 # Sources that never heartbeat (the executor's own
-                # lifecycle stream) made no liveness promise — only
-                # heartbeating workers can be declared stalled.
+                # lifecycle stream) made no liveness promise, and an
+                # exited worker withdrew its — only heartbeating, live
+                # workers can be declared stalled.
                 continue
             silent = now - last
             idle = now - (advance if advance is not None else last)
@@ -579,9 +589,10 @@ class TelemetryHub:
                     "point": worker.get("point"),
                 })
             elif worker["probes"] and idle > self.stall_after:
-                # Only probe-carrying workers promise visible progress;
-                # a probe-less worker (a sweep point that registered no
-                # simulators) is judged on liveness alone.
+                # Only probe-carrying beats promise visible progress; a
+                # probe-less beat (a sweep point that registered no
+                # simulators, or an idle pool worker) re-anchored the
+                # progress clock, so it is judged on liveness alone.
                 stalls.append({
                     "source": source, "reason": "no_progress",
                     "idle_seconds": idle,

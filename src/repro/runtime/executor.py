@@ -1,14 +1,19 @@
 """Parallel, fault-tolerant execution of an :class:`ExecutionPlan`.
 
-The engine fans plan points out over a pool of worker *processes*
-(one process per point — each point is a whole emulation run, so
-process startup is noise) with three robustness mechanisms:
+The engine fans plan points out over a pool of persistent worker
+processes: ``min(parallel, pending points)`` :class:`CommandWorker`
+children per sweep, each serving one ``run`` command — one attempt of
+one point — at a time. Workers start once per sweep, not once per
+point: a small point (fig7) simulates for a few milliseconds, about
+what a fork costs, so process start-up is not noise. Three robustness
+mechanisms:
 
 * **wall-clock timeouts** — a worker past its per-point deadline is
-  terminated and the point is retried;
-* **crash/exception capture** — a worker that raises, or dies without
-  reporting (segfault, ``os._exit``, OOM-kill), surfaces as a failed
-  attempt instead of hanging the sweep;
+  killed and replaced, and the point is retried;
+* **crash/exception capture** — a runner that raises ships its error
+  back and the worker serves the next point; a worker that dies
+  without reporting (segfault, ``os._exit``, OOM-kill) is reaped and
+  replaced; either way the attempt fails instead of hanging the sweep;
 * **bounded retry with exponential backoff** — each point gets up to
   ``max_attempts`` tries; a point that exhausts them is recorded as
   ``status="failed"`` and the sweep continues.
@@ -18,24 +23,20 @@ Completed points stream into an incremental JSONL checkpoint
 skips them. Because every point's seed is fixed by the plan (not by
 scheduling), results are byte-identical whatever ``parallel`` is —
 including ``parallel=0``, which runs points inline in the calling
-process (no isolation, but convenient under a debugger).
-
-Worker start method defaults to ``fork`` where available (closures in
-custom runners work, module import cost is not repaid per point) and
-``spawn`` elsewhere; pass ``mp_context="spawn"`` explicitly to test
-the pickling path. The engine instruments itself through
-:mod:`repro.obs` metrics (``runtime.points_*``,
+process through the same scheduling loop (no isolation and no
+timeouts, but convenient under a debugger). The engine instruments
+itself through :mod:`repro.obs` metrics (``runtime.points_*``,
 ``runtime.workers_active``).
 
 Live telemetry: pass a :class:`~repro.obs.telemetry.TelemetryHub` and
 workers interleave wall-clock-only ``("telemetry", event)`` messages
-(heartbeats, per-point lifecycle) with their protocol replies on the
-same pipes; the parent folds them into the hub as they arrive. The
-per-point ``started/finished/retried/crashed/failed`` records are also
-appended to the checkpoint JSONL (telemetry or not), which is how a
-``--resume`` run reports what previously failed. None of this touches
-the deterministic path — results and aggregates are byte-identical
-with telemetry on or off.
+(heartbeats labelled with the point being run) with their protocol
+replies on the same pipes; the parent folds them into the hub as they
+arrive. The per-point ``started/finished/retried/crashed/failed``
+records are also appended to the checkpoint JSONL (telemetry or not),
+which is how a ``--resume`` run reports what previously failed. None
+of this touches the deterministic path — results and aggregates are
+byte-identical with telemetry on or off.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from multiprocessing.connection import Connection, wait as connection_wait
+from multiprocessing.connection import wait as connection_wait
 from typing import Any, Callable, Dict, List, Optional, Union
 
 from repro.experiments.api import RunRequest, RunResult
@@ -76,27 +77,72 @@ def registry_runner(request: RunRequest) -> RunResult:
     return get_experiment(request.experiment_id).execute(request)
 
 
-def _worker_main(
-    conn: Connection,
-    runner: Runner,
-    request: RunRequest,
-    attempt: int,
-    telemetry_on: bool = False,
-    heartbeat_interval: Optional[float] = None,
-) -> None:
-    """Child-process entry point: run one point, ship the result back.
+def _describe(exc: BaseException) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
-    With ``telemetry_on`` the worker installs a pipe emitter as the
-    process-ambient telemetry emitter and starts a heartbeat thread;
-    both share ``conn`` with the final reply, serialized by a lock so
-    a heartbeat can never tear a result message.
-    """
+
+def _run_point(runner: Runner, request: RunRequest, attempt: int) -> RunResult:
+    """Run one attempt of one point in this process — the one place a
+    point runs, inline or inside a pool worker."""
     os.environ[ATTEMPT_ENV] = str(attempt)
+    return runner(request).with_attempts(attempt)
+
+
+def _point_worker(runner: Runner):
+    """:class:`CommandWorker` handler factory for sweep pool workers:
+    each command is ``(request, attempt)``; the reply is the result
+    document. A raising runner becomes an ``error`` reply and the
+    worker stays up for the next point."""
+
+    def handle(_command: str, payload) -> Dict[str, Any]:
+        request, attempt = payload
+        emitter = obs_telemetry.get_emitter()
+        if emitter.enabled:
+            emitter.static["point"] = request.key
+        try:
+            return _run_point(runner, request, attempt).as_dict()
+        finally:
+            # Probes are weakly held, so a finished point's simulators
+            # may linger in the table until collected; the next point
+            # (and the idle worker's heartbeats) must not report them.
+            obs_telemetry.clear_probes()
+
+    return handle
+
+
+def _command_worker_main(
+    conn,
+    handler_factory,
+    init_payload,
+    telemetry_on: bool,
+    name: str,
+    heartbeat_interval: Optional[float],
+) -> None:
+    """Child entry point for a :class:`CommandWorker`.
+
+    Builds the handler once, then serves ``(command, payload)`` requests
+    until ``("close", None)``. A handler that raises ships an ``error``
+    reply and the loop serves the next command; a failing factory (or
+    anything that escapes the loop) ships an ``error`` and exits.
+
+    With ``telemetry_on`` the ambient emitter and heartbeat thread are
+    installed *before* ``handler_factory`` runs, so the factory (e.g.
+    the partition driver building its cells) can register progress
+    probes that the heartbeats will sample. Both share ``conn`` with
+    the replies, serialized by a lock so a heartbeat can never tear a
+    reply message.
+    """
     send_lock = threading.Lock()
 
     def send(message) -> None:
         with send_lock:
             conn.send(message)
+
+    def error(exc: BaseException):
+        return (
+            "error",
+            {"error": _describe(exc), "traceback": traceback.format_exc()},
+        )
 
     # A forked child inherits the parent's ambient emitter and probe
     # table — neither may leak into this process's stream.
@@ -105,90 +151,7 @@ def _worker_main(
     heartbeat: Optional[obs_telemetry.Heartbeat] = None
     if telemetry_on:
         emitter = obs_telemetry.pipe_emitter(
-            conn,
-            send_lock,
-            f"sweep/pid{os.getpid()}",
-            static={"point": request.key},
-        )
-        obs_telemetry.set_emitter(emitter)
-        heartbeat = obs_telemetry.Heartbeat(
-            emitter,
-            interval=(
-                heartbeat_interval
-                if heartbeat_interval is not None
-                else obs_telemetry.HEARTBEAT_INTERVAL
-            ),
-        ).start()
-
-    def stop_heartbeat() -> None:
-        nonlocal heartbeat
-        if heartbeat is not None:
-            try:
-                heartbeat.stop()
-            except Exception:
-                pass
-            heartbeat = None
-
-    try:
-        result = runner(request)
-        stop_heartbeat()
-        send(("ok", result.as_dict()))
-    except BaseException as exc:  # noqa: BLE001 — must never escape silently
-        stop_heartbeat()
-        try:
-            send(
-                (
-                    "error",
-                    {
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "traceback": traceback.format_exc(),
-                    },
-                )
-            )
-        except Exception:  # conn already broken — parent sees a crash
-            pass
-    finally:
-        stop_heartbeat()
-        try:
-            conn.close()
-        except Exception:
-            pass
-
-
-def _command_worker_main(
-    conn: Connection,
-    handler_factory,
-    init_payload,
-    telemetry_on: bool = False,
-    telemetry_source: Optional[str] = None,
-    heartbeat_interval: Optional[float] = None,
-) -> None:
-    """Child entry point for a :class:`CommandWorker`.
-
-    Builds the handler once, then serves ``(command, payload)`` requests
-    until ``("close", None)`` — the long-lived dual of the one-shot
-    :func:`_worker_main` (a partition worker holds live simulators
-    across barrier windows, so it cannot be respawned per request).
-
-    With ``telemetry_on`` the ambient emitter and heartbeat thread are
-    installed *before* ``handler_factory`` runs, so the factory (e.g.
-    the partition driver building its cells) can register progress
-    probes that the heartbeats will sample.
-    """
-    send_lock = threading.Lock()
-
-    def send(message) -> None:
-        with send_lock:
-            conn.send(message)
-
-    obs_telemetry.clear_probes()  # fork inherits the parent's probe table
-    obs_telemetry.set_emitter(None)
-    heartbeat: Optional[obs_telemetry.Heartbeat] = None
-    if telemetry_on:
-        emitter = obs_telemetry.pipe_emitter(
-            conn,
-            send_lock,
-            telemetry_source or f"cells/pid{os.getpid()}",
+            conn, send_lock, name.format(pid=os.getpid())
         )
         obs_telemetry.set_emitter(emitter)
         heartbeat = obs_telemetry.Heartbeat(
@@ -206,19 +169,15 @@ def _command_worker_main(
             command, payload = conn.recv()
             if command == "close":
                 break
-            send(("ok", handler(command, payload)))
+            try:
+                reply = ("ok", handler(command, payload))
+            except Exception as exc:  # noqa: BLE001 — shipped to the parent
+                reply = error(exc)
+            send(reply)
     except BaseException as exc:  # noqa: BLE001 — must never escape silently
         try:
-            send(
-                (
-                    "error",
-                    {
-                        "error": f"{type(exc).__name__}: {exc}",
-                        "traceback": traceback.format_exc(),
-                    },
-                )
-            )
-        except Exception:
+            send(error(exc))
+        except Exception:  # conn already broken — parent sees a crash
             pass
     finally:
         if heartbeat is not None:
@@ -233,29 +192,49 @@ def _command_worker_main(
 
 
 class WorkerCrashed(RuntimeError):
-    """A :class:`CommandWorker` child died or reported an exception."""
+    """A :class:`CommandWorker` child died or reported an exception.
+
+    :attr:`error` is the one-line reason (``"ValueError: boom"``, or
+    ``"worker crashed (exitcode 17)"``); the message adds the worker
+    name and, for a shipped exception, the remote traceback.
+    """
+
+    def __init__(self, message: str, error: str) -> None:
+        super().__init__(message)
+        self.error = error
+
+
+#: :meth:`CommandWorker._read` result for a message that was telemetry.
+_NO_REPLY = object()
 
 
 class CommandWorker:
     """A persistent worker process serving ``(command, payload)`` calls.
 
-    The sweep pool above spawns one process per point because each
-    point is a whole run; the partition driver
-    (:mod:`repro.sim.partition`) instead needs workers that *retain
-    state* (their cells' simulators) between short synchronous calls.
-    This wraps the same ``Pipe``/``Process``/crash-capture machinery in
-    a request/response shape:
+    The sweep pool runs one point per command on a few of these; the
+    partition driver (:mod:`repro.sim.partition`) relies on them
+    *retaining state* (their cells' simulators) between short
+    synchronous calls.
 
     ``handler_factory(init_payload)`` runs once in the child and
     returns a ``handler(command, payload)`` callable; :meth:`request`
-    round-trips one command. A child that raises ships the traceback
-    back and every subsequent call raises :class:`WorkerCrashed`.
+    round-trips one command. A handler that raises ships the traceback
+    back — the call raises :class:`WorkerCrashed` and the child keeps
+    serving; a child that dies makes every later call raise it.
+
+    ``name`` names the child and its telemetry source; a ``{pid}``
+    field in it is filled with the child's pid (the sweep pool's
+    workers are ``sweep/pid{pid}``). Start method defaults to ``fork``
+    where available (closures in custom runners work, module import
+    cost is not repaid per worker) and ``spawn`` elsewhere; pass
+    ``mp_context="spawn"`` explicitly to test the pickling path.
 
     With ``telemetry=True`` the child streams heartbeat events on the
-    same pipe; :meth:`_recv` transparently skips them past the
-    request/response protocol, handing each one to ``on_telemetry``
-    (typically the ambient emitter's ``forward``, relaying cell events
-    up to whatever hub owns this process).
+    same pipe; :meth:`receive` hands each one to ``on_telemetry``
+    (a hub's ``ingest``, or the ambient emitter's ``forward`` relaying
+    cell events upward). When the worker is shut down or reaped,
+    ``on_telemetry`` also gets a ``worker_exited`` event for its
+    source, so a hub stops expecting heartbeats from it.
     """
 
     def __init__(
@@ -290,30 +269,37 @@ class CommandWorker:
         )
         self._process.start()
         child_conn.close()
+        self.name = self._process.name = name.format(pid=self._process.pid)
         self._dead = False
-        self._recv()  # wait for ("ready", None) / surface build failures
+        try:
+            self.receive()  # wait for ("ready", None) / surface build failures
+        except WorkerCrashed:
+            self.close()
+            raise
 
-    def _recv(self):
-        while True:
-            try:
-                kind, payload = self._conn.recv()
-            except (EOFError, OSError):
-                self._dead = True
-                self._process.join(timeout=5.0)
-                raise WorkerCrashed(
-                    f"{self._process.name} crashed "
-                    f"(exitcode {self._process.exitcode})"
-                ) from None
-            if kind == "telemetry":
-                self._handle_telemetry(payload)
-                continue
-            if kind == "error":
-                self._dead = True
-                raise WorkerCrashed(
-                    f"{self._process.name} failed: {payload['error']}\n"
-                    f"{payload['traceback']}"
-                )
-            return payload
+    def _read(self):
+        """Read one message off the pipe — the one decoder of the worker
+        protocol. Telemetry goes to ``on_telemetry`` and yields
+        ``_NO_REPLY``; a reply returns its payload; a shipped exception
+        or a dead child raises :class:`WorkerCrashed`."""
+        try:
+            kind, payload = self._conn.recv()
+        except (EOFError, OSError):
+            self._dead = True
+            self._process.join(timeout=5.0)
+            reason = f"crashed (exitcode {self._process.exitcode})"
+            raise WorkerCrashed(
+                f"{self.name} {reason}", f"worker {reason}"
+            ) from None
+        if kind == "telemetry":
+            self._handle_telemetry(payload)
+            return _NO_REPLY
+        if kind == "error":
+            raise WorkerCrashed(
+                f"{self.name} failed: {payload['error']}\n{payload['traceback']}",
+                payload["error"],
+            )
+        return payload
 
     def send(self, command: str, payload=None) -> None:
         """Dispatch a command without waiting (pair with :meth:`receive`).
@@ -322,17 +308,25 @@ class CommandWorker:
         worker before collecting any reply — the barrier-window driver
         would otherwise serialize its workers."""
         if self._dead:
-            raise WorkerCrashed(f"{self._process.name} is no longer running")
-        self._conn.send((command, payload))
+            raise WorkerCrashed(
+                f"{self.name} is no longer running", "worker is no longer running"
+            )
+        try:
+            self._conn.send((command, payload))
+        except OSError:
+            pass  # the child is gone: the next read reports the crash
 
     def receive(self):
         """Block for the reply to the oldest un-received :meth:`send`."""
-        return self._recv()
+        while True:
+            reply = self._read()
+            if reply is not _NO_REPLY:
+                return reply
 
     def request(self, command: str, payload=None):
         """Send one command and block for its reply."""
         self.send(command, payload)
-        return self._recv()
+        return self.receive()
 
     def _handle_telemetry(self, payload) -> None:
         if self._on_telemetry is not None:
@@ -341,22 +335,31 @@ class CommandWorker:
             except Exception:
                 pass
 
+    def kill(self) -> None:
+        """Kill the child mid-command (a timed-out point) and reap it."""
+        self._process.kill()
+        self._dead = True
+        self.close()
+
     def close(self) -> None:
-        """Shut the child down (idempotent)."""
+        """Shut the child down and reap it (idempotent)."""
+        if self._conn.closed:
+            return
         if not self._dead:
             try:
                 self._conn.send(("close", None))
-            except (BrokenPipeError, OSError):
+            except OSError:
                 pass
             self._dead = True
-        try:
-            self._conn.close()
-        except Exception:
-            pass
+        self._conn.close()
         self._process.join(timeout=5.0)
         if self._process.is_alive():  # pragma: no cover - defensive
             self._process.kill()
             self._process.join(timeout=5.0)
+        self._handle_telemetry({
+            "ts": time.time(), "kind": "worker_exited", "source": self.name,
+            "exitcode": self._process.exitcode,
+        })
 
 
 def receive_all(workers: List["CommandWorker"]) -> List[Any]:
@@ -378,54 +381,18 @@ def receive_all(workers: List["CommandWorker"]) -> List[Any]:
             [w._conn for w in workers if id(w) not in replies]
         ):
             worker = by_conn[conn]
-            try:
-                kind, payload = conn.recv()
-            except (EOFError, OSError):
-                worker._dead = True
-                worker._process.join(timeout=5.0)
-                raise WorkerCrashed(
-                    f"{worker._process.name} crashed "
-                    f"(exitcode {worker._process.exitcode})"
-                ) from None
-            if kind == "telemetry":
-                worker._handle_telemetry(payload)
-            elif kind == "error":
-                worker._dead = True
-                raise WorkerCrashed(
-                    f"{worker._process.name} failed: {payload['error']}\n"
-                    f"{payload['traceback']}"
-                )
-            else:
-                replies[id(worker)] = payload
+            reply = worker._read()
+            if reply is not _NO_REPLY:
+                replies[id(worker)] = reply
     return [replies[id(worker)] for worker in workers]
 
 
 @dataclass
-class _Pending:
+class _Attempt:
     request: RunRequest
-    attempt: int = 1  # the attempt number the *next* launch will be
+    attempt: int = 1  # 1-based attempt number
     not_before: float = 0.0  # monotonic time gate (retry backoff)
-
-
-@dataclass
-class _Active:
-    request: RunRequest
-    attempt: int
-    process: multiprocessing.process.BaseProcess
-    conn: Connection
-    deadline: Optional[float] = None
-    result: Optional[RunResult] = None
-    error: Optional[str] = None
-
-    def reap(self) -> None:
-        try:
-            self.conn.close()
-        except Exception:
-            pass
-        self.process.join(timeout=5.0)
-        if self.process.is_alive():  # pragma: no cover - defensive
-            self.process.kill()
-            self.process.join(timeout=5.0)
+    deadline: Optional[float] = None  # monotonic timeout, once running
 
 
 @dataclass
@@ -433,8 +400,9 @@ class _Book:
     """Mutable execution state shared by the scheduling helpers."""
 
     results: Dict[str, RunResult] = field(default_factory=dict)
-    pending: List[_Pending] = field(default_factory=list)
-    active: List[_Active] = field(default_factory=list)
+    pending: List[_Attempt] = field(default_factory=list)
+    #: Live pool workers -> the attempt each is running (None = idle).
+    workers: Dict[CommandWorker, Optional[_Attempt]] = field(default_factory=dict)
 
 
 class SweepExecutor:
@@ -469,11 +437,7 @@ class SweepExecutor:
         self.resume = resume
         self.telemetry = telemetry
         self.heartbeat_interval = heartbeat_interval
-        if mp_context is None:
-            mp_context = (
-                "fork" if "fork" in multiprocessing.get_all_start_methods() else "spawn"
-            )
-        self._ctx = multiprocessing.get_context(mp_context)
+        self.mp_context = mp_context
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         m = self.metrics
         self._m_completed = m.counter("runtime.points_completed")
@@ -545,7 +509,7 @@ class SweepExecutor:
 
         for point in self.plan:
             if point.key not in book.results:
-                book.pending.append(_Pending(point))
+                book.pending.append(_Attempt(point))
 
         self._emit(
             "run_started",
@@ -565,17 +529,27 @@ class SweepExecutor:
         writer: Optional[CheckpointWriter] = None
         if self.checkpoint_path is not None:
             writer = CheckpointWriter(self.checkpoint_path)
+        saved_attempt = os.environ.get(ATTEMPT_ENV)
+        # Inline points run in *this* process: feed the hub directly
+        # through the ambient emitter so partition drivers (and any
+        # other deep layer) stream exactly as they would from a worker.
+        emitter = (
+            self.telemetry.emitter("inline")
+            if self.telemetry is not None
+            else obs_telemetry.NULL_EMITTER
+        )
         try:
-            if self.parallel == 0:
-                self._run_inline(book, writer)
-            else:
-                self._run_pool(book, writer)
+            with obs_telemetry.use_emitter(emitter):
+                self._schedule(book, writer)
         finally:
             if writer is not None:
                 writer.close()
-            for active in book.active:  # pragma: no cover - interrupt path
-                active.process.terminate()
-                active.reap()
+            for worker in book.workers:  # interrupt path: still busy
+                worker.kill()
+            if saved_attempt is None:
+                os.environ.pop(ATTEMPT_ENV, None)
+            else:
+                os.environ[ATTEMPT_ENV] = saved_attempt
 
         ordered = [book.results[p.key] for p in self.plan]
         outcome = SweepOutcome(
@@ -594,198 +568,130 @@ class SweepExecutor:
         )
         return outcome
 
-    # -- inline (parallel=0) -------------------------------------------
-    def _run_inline(self, book: _Book, writer: Optional[CheckpointWriter]) -> None:
-        saved = os.environ.get(ATTEMPT_ENV)
-        # Inline points run in *this* process: feed the hub directly
-        # through the ambient emitter so partition drivers (and any
-        # other deep layer) stream exactly as they would from a worker.
-        emitter = (
-            self.telemetry.emitter("inline")
-            if self.telemetry is not None
-            else obs_telemetry.NULL_EMITTER
+    # -- scheduling -----------------------------------------------------
+    def _schedule(self, book: _Book, writer: Optional[CheckpointWriter]) -> None:
+        """The one scheduling loop: start every ready attempt a slot is
+        free for (inline when ``parallel=0``, else on an idle or new
+        pool worker), then collect replies, crashes and timeouts."""
+        telemetry_on = self.telemetry is not None or any(
+            item.request.telemetry for item in book.pending
         )
-        try:
-            with obs_telemetry.use_emitter(emitter):
-                for item in book.pending:
-                    request = item.request
-                    last_error = "never attempted"
-                    for attempt in range(1, self.max_attempts + 1):
-                        os.environ[ATTEMPT_ENV] = str(attempt)
-                        self._point_event(
-                            writer, "point_started", request.key, attempt=attempt
-                        )
-                        try:
-                            result = self.runner(request).with_attempts(attempt)
-                        except Exception as exc:  # noqa: BLE001
-                            last_error = f"{type(exc).__name__}: {exc}"
-                            self._point_event(
-                                writer, "point_crashed", request.key,
-                                attempt=attempt, error=last_error,
-                            )
-                            if attempt < self.max_attempts:
-                                self._m_retried.inc()
-                                self._point_event(
-                                    writer, "point_retried", request.key,
-                                    attempt=attempt, error=last_error,
-                                )
-                                time.sleep(self.retry_backoff * (2 ** (attempt - 1)))
-                            continue
-                        self._record(book, writer, result)
-                        break
-                    else:
-                        self._record(
-                            book,
-                            writer,
-                            RunResult.failed(
-                                request, last_error, attempts=self.max_attempts
-                            ),
-                        )
-                book.pending.clear()
-        finally:
-            if saved is None:
-                os.environ.pop(ATTEMPT_ENV, None)
-            else:
-                os.environ[ATTEMPT_ENV] = saved
-
-    # -- process pool ---------------------------------------------------
-    def _launch(
-        self, book: _Book, item: _Pending, writer: Optional[CheckpointWriter]
-    ) -> None:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        telemetry_on = self.telemetry is not None or bool(item.request.telemetry)
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                child_conn,
-                self.runner,
-                item.request,
-                item.attempt,
-                telemetry_on,
-                self.heartbeat_interval,
-            ),
-            daemon=True,
-            name=f"repro-sweep-{item.request.replication}",
-        )
-        process.start()
-        child_conn.close()
-        deadline = (
-            time.monotonic() + self.timeout if self.timeout is not None else None
-        )
-        book.active.append(
-            _Active(item.request, item.attempt, process, parent_conn, deadline)
-        )
-        self._m_workers.inc()
-        self._point_event(
-            writer, "point_started", item.request.key, attempt=item.attempt
-        )
-
-    def _run_pool(self, book: _Book, writer: Optional[CheckpointWriter]) -> None:
-        while book.pending or book.active:
+        while book.pending or any(book.workers.values()):
             now = time.monotonic()
-            # Launch every ready point up to the concurrency cap.
-            launchable = [
-                p for p in book.pending if p.not_before <= now
-            ][: max(0, self.parallel - len(book.active))]
-            for item in launchable:
+            busy = sum(1 for item in book.workers.values() if item is not None)
+            ready = [p for p in book.pending if p.not_before <= now]
+            for item in ready[: max(1, self.parallel) - busy]:
                 book.pending.remove(item)
-                self._launch(book, item, writer)
+                self._point_event(
+                    writer, "point_started", item.request.key, attempt=item.attempt
+                )
+                if self.parallel == 0:
+                    try:
+                        result = _run_point(self.runner, item.request, item.attempt)
+                    except Exception as exc:  # noqa: BLE001
+                        self._failed(book, writer, item, _describe(exc))
+                    else:
+                        self._record(book, writer, result)
+                    continue
+                idle = [w for w, running in book.workers.items() if running is None]
+                worker = idle[0] if idle else self._spawn(book, telemetry_on)
+                worker.send("run", (item.request, item.attempt))
+                if self.timeout is not None:
+                    item.deadline = time.monotonic() + self.timeout
+                book.workers[worker] = item
 
-            if not book.active:
+            if not any(book.workers.values()):
                 # Everything left is backoff-gated; sleep until the gate.
                 if book.pending:
                     gate = min(p.not_before for p in book.pending)
                     time.sleep(max(0.0, min(gate - time.monotonic(), 0.25)))
                 continue
 
-            # Wait for results, bounded by the nearest deadline.
+            # Wait for replies (idle workers' heartbeats too, so their
+            # pipes never fill), bounded by the nearest deadline.
             wait_for = 0.25
-            for active in book.active:
-                if active.deadline is not None:
-                    wait_for = min(wait_for, max(0.0, active.deadline - now))
-            ready = connection_wait(
-                [a.conn for a in book.active], timeout=wait_for
-            )
-            now = time.monotonic()
-
-            finished: List[_Active] = []
-            for active in book.active:
-                if active.conn in ready:
-                    try:
-                        # Drain interleaved telemetry; the first
-                        # non-telemetry message (if any is ready) is
-                        # the worker's final reply.
-                        message = active.conn.recv()
-                        while message[0] == "telemetry":
-                            if self.telemetry is not None:
-                                self.telemetry.ingest(message[1])
-                            if not active.conn.poll():
-                                message = None
-                                break
-                            message = active.conn.recv()
-                    except (EOFError, OSError):
-                        active.process.join(timeout=5.0)
-                        code = active.process.exitcode
-                        active.error = f"worker crashed (exitcode {code})"
+            for item in book.workers.values():
+                if item is not None and item.deadline is not None:
+                    wait_for = min(wait_for, max(0.0, item.deadline - now))
+            by_conn = {w._conn: w for w in book.workers}
+            for conn in connection_wait(list(by_conn), timeout=wait_for):
+                worker = by_conn[conn]
+                item = book.workers[worker]
+                try:
+                    reply = worker._read()
+                except WorkerCrashed as exc:
+                    if worker._dead:
+                        self._retire(book, worker).close()
                     else:
-                        if message is None:
-                            continue  # still running — only heartbeats so far
-                        kind, payload = message
-                        if kind == "ok":
-                            active.result = RunResult.from_dict(payload).with_attempts(
-                                active.attempt
-                            )
-                        else:
-                            active.error = payload["error"]
-                    finished.append(active)
-                elif not active.process.is_alive() and not active.conn.poll():
-                    # Died without a word (hard crash before send()).
-                    code = active.process.exitcode
-                    active.error = f"worker crashed (exitcode {code})"
-                    finished.append(active)
-                elif active.deadline is not None and now >= active.deadline:
-                    active.process.terminate()
-                    active.error = f"timeout after {self.timeout:g}s"
-                    self._m_timeout.inc()
-                    finished.append(active)
-
-            for active in finished:
-                book.active.remove(active)
-                active.reap()
-                self._m_workers.dec()
-                if active.result is not None:
-                    self._record(book, writer, active.result)
+                        book.workers[worker] = None
+                    if item is not None:
+                        self._failed(book, writer, item, exc.error)
                     continue
-                self._point_event(
-                    writer, "point_crashed", active.request.key,
-                    attempt=active.attempt, error=active.error,
-                )
-                if active.attempt < self.max_attempts:
-                    self._m_retried.inc()
-                    self._point_event(
-                        writer, "point_retried", active.request.key,
-                        attempt=active.attempt, error=active.error,
-                    )
-                    backoff = self.retry_backoff * (2 ** (active.attempt - 1))
-                    book.pending.append(
-                        _Pending(
-                            active.request,
-                            attempt=active.attempt + 1,
-                            not_before=time.monotonic() + backoff,
-                        )
-                    )
-                else:
+                if reply is not _NO_REPLY:
+                    book.workers[worker] = None
                     self._record(
-                        book,
-                        writer,
-                        RunResult.failed(
-                            active.request,
-                            active.error or "unknown failure",
-                            attempts=active.attempt,
-                        ),
+                        book, writer,
+                        RunResult.from_dict(reply).with_attempts(item.attempt),
                     )
 
-    # ------------------------------------------------------------------
+            now = time.monotonic()
+            for worker, item in list(book.workers.items()):
+                if item is None or item.deadline is None or now < item.deadline:
+                    continue
+                self._m_timeout.inc()
+                self._retire(book, worker).kill()
+                self._failed(book, writer, item, f"timeout after {self.timeout:g}s")
+
+        for worker in list(book.workers):
+            self._retire(book, worker).close()
+
+    def _spawn(self, book: _Book, telemetry_on: bool) -> CommandWorker:
+        worker = CommandWorker(
+            _point_worker,
+            init_payload=self.runner,
+            mp_context=self.mp_context,
+            name="sweep/pid{pid}",
+            telemetry=telemetry_on,
+            on_telemetry=self.telemetry.ingest if self.telemetry is not None else None,
+            heartbeat_interval=self.heartbeat_interval,
+        )
+        book.workers[worker] = None
+        self._m_workers.inc()
+        return worker
+
+    def _retire(self, book: _Book, worker: CommandWorker) -> CommandWorker:
+        del book.workers[worker]
+        self._m_workers.dec()
+        return worker
+
+    def _failed(
+        self,
+        book: _Book,
+        writer: Optional[CheckpointWriter],
+        item: _Attempt,
+        error: str,
+    ) -> None:
+        """The retry policy: requeue a failed attempt (first in line,
+        behind an exponential backoff gate) or record the point failed."""
+        key, attempt = item.request.key, item.attempt
+        self._point_event(writer, "point_crashed", key, attempt=attempt, error=error)
+        if attempt >= self.max_attempts:
+            self._record(
+                book, writer, RunResult.failed(item.request, error, attempts=attempt)
+            )
+            return
+        self._m_retried.inc()
+        self._point_event(writer, "point_retried", key, attempt=attempt, error=error)
+        backoff = self.retry_backoff * (2 ** (attempt - 1))
+        book.pending.insert(
+            0,
+            _Attempt(
+                item.request,
+                attempt=attempt + 1,
+                not_before=time.monotonic() + backoff,
+            ),
+        )
+
     def _record(
         self, book: _Book, writer: Optional[CheckpointWriter], result: RunResult
     ) -> None:

@@ -17,10 +17,6 @@ from repro.sim.event import EVENT_POOL_CAP, Event, EventQueue, PRIORITY_NORMAL
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
 
-#: Sentinel distinguishing "kwarg not passed" from an explicit value in
-#: the deprecated ``Simulator(flight=..., fast=...)`` shim.
-_UNSET: Any = object()
-
 #: Bucket edges for the (wall-clock) per-callback latency histogram —
 #: callbacks run in microseconds to milliseconds.
 CALLBACK_SECONDS_EDGES = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
@@ -45,17 +41,6 @@ class Simulator:
         A :class:`~repro.sim.config.SimConfig` naming every behaviour
         knob (hot path, flight recording, profiler, packet reuse,
         partitioning). This is the canonical configuration surface.
-    flight, fast:
-        **Deprecated** keyword shims for ``config=SimConfig(flight=...,
-        fast=...)``; they emit a :class:`DeprecationWarning` and
-        override the corresponding config field for one release of
-        back-compat. ``fast=True`` enables the hot-path optimisations
-        (calendar event queue, event free list, packet reuse);
-        ``fast=False`` selects the unoptimised reference path; ``None``
-        follows the ``REPRO_SLOW_PATH`` environment escape hatch (see
-        :mod:`repro.hotpath`) — both paths are observationally
-        identical. ``flight=True`` (with ``observe=True``) attaches a
-        :class:`~repro.obs.flight.FlightRecorder` as ``sim.flight``.
 
     Examples
     --------
@@ -72,24 +57,7 @@ class Simulator:
         seed: int = 0,
         observe: bool = True,
         config: Optional[SimConfig] = None,
-        flight: Any = _UNSET,
-        fast: Any = _UNSET,
     ) -> None:
-        if flight is not _UNSET or fast is not _UNSET:
-            import warnings
-
-            warnings.warn(
-                "Simulator(flight=..., fast=...) is deprecated; pass "
-                "config=SimConfig(flight=..., fast=...) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            config = (config if config is not None else SimConfig()).replace(
-                **(
-                    ({} if flight is _UNSET else {"flight": flight})
-                    | ({} if fast is _UNSET else {"fast": fast})
-                )
-            )
         #: The resolved configuration (defaults when none was given).
         self.config: SimConfig = config if config is not None else SimConfig()
         config = self.config

@@ -507,6 +507,11 @@ def run_partitioned(
     }
 
     # -- spin up the engine(s) -----------------------------------------
+    # Live telemetry is inherited from the ambient emitter: child
+    # workers heartbeat over their command pipes and this process
+    # relays the events (and each worker's ``worker_exited`` marker on
+    # close) to whatever hub/pipe it is itself wired to.
+    emitter = _telemetry.get_emitter()
     inline: Optional[_WorkerState] = None
     workers: List[Any] = []
     if layout.workers == 1:
@@ -516,10 +521,6 @@ def run_partitioned(
     else:
         from repro.runtime.executor import CommandWorker, receive_all
 
-        # Live telemetry is inherited from the ambient emitter: child
-        # workers heartbeat over their command pipes and this process
-        # relays the events to whatever hub/pipe it is itself wired to.
-        emitter = _telemetry.get_emitter()
         for w, group in enumerate(layout.assignments):
             workers.append(
                 CommandWorker(
@@ -564,7 +565,6 @@ def run_partitioned(
         return per_worker
 
     windows = 0
-    emitter = _telemetry.get_emitter()
     try:
         # Build every cell; collect build-time messages + first horizons.
         replies = broadcast("build", [None] * max(1, layout.workers))

@@ -24,6 +24,7 @@ from repro.sim.event import (
     SPARSE_RUN_MAX,
     EventQueue,
 )
+from repro.sim.config import SimConfig
 from repro.sim.kernel import Simulator
 
 PRIORITIES = (PRIORITY_HIGH, PRIORITY_NORMAL, PRIORITY_LOW)
@@ -327,7 +328,7 @@ def test_simulator_fast_and_slow_execute_identically(seed):
     including runtime cancellations and self-rescheduling timers."""
 
     def build_and_run(fast: bool):
-        sim = Simulator(seed=seed, observe=False, fast=fast)
+        sim = Simulator(seed=seed, observe=False, config=SimConfig(fast=fast))
         rng = random.Random(seed)
         log = []
         handles = {}

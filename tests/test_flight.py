@@ -14,7 +14,7 @@ from repro.obs.flight import (
     STATUS_DELIVERED,
     STATUS_DROPPED,
 )
-from repro.sim import Simulator
+from repro.sim import SimConfig, Simulator
 from repro.topology.compiler import compile_topology
 from repro.topology.spec import TopologySpec
 from repro.virt.deployment import Testbed
@@ -138,7 +138,7 @@ class TestDisabledModes:
         assert testbed.sim.flight.flights() == []
 
     def test_observe_false_forces_null_flight(self):
-        sim = Simulator(seed=0, observe=False, flight=True)
+        sim = Simulator(seed=0, observe=False, config=SimConfig(flight=True))
         assert sim.flight is NULL_FLIGHT
 
     def test_null_recorder_is_inert_singleton(self):

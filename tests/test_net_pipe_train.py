@@ -5,7 +5,7 @@ events into packet-train events (``net/pipe.py``). These tests pin the
 contract down in-process: every delivery keeps the exact
 ``(time, priority, seq)`` identity the per-packet reference path would
 have given it, so delivery timelines, ``events_processed``,
-``pending`` and the clock agree with ``Simulator(fast=False)`` under
+``pending`` and the clock agree with ``SimConfig(fast=False)`` under
 every kernel interaction — horizons, ``stop()``, ``step()``,
 ``max_events`` budgets and mid-run ``reconfigure()``. The subprocess
 A/B byte-identity proof (metrics + flight + trace under two hash
@@ -17,6 +17,7 @@ import pytest
 from repro.net.addr import ip
 from repro.net.packet import Packet
 from repro.net.pipe import TRAIN_MAX_PACKETS, DummynetPipe
+from repro.sim.config import SimConfig
 from repro.sim.kernel import Simulator
 
 SRC = ip("10.0.0.1")
@@ -38,7 +39,7 @@ def _run_twins(scenario, **kwargs):
     scenario appends — typically ``(sim.now, packet.payload)``."""
     results = []
     for fast in (True, False):
-        sim = Simulator(seed=1, observe=True, fast=fast, **kwargs)
+        sim = Simulator(seed=1, observe=True, config=SimConfig(fast=fast), **kwargs)
         log = []
         scenario(sim, log)
         results.append((log, sim))
@@ -57,7 +58,7 @@ def _coalesced(sim):
 # Formation and bounds
 # ----------------------------------------------------------------------
 def test_back_to_back_burst_forms_one_train():
-    sim = Simulator(seed=1, fast=True)
+    sim = Simulator(seed=1, config=SimConfig(fast=True))
     pipe = DummynetPipe(sim, bandwidth=1e6, delay=0.05, name="p")
     got = []
     _burst(pipe, 40, deliver=lambda p: got.append((sim.now, p.payload)))
@@ -71,7 +72,7 @@ def test_back_to_back_burst_forms_one_train():
 def test_train_bounded_by_bandwidth_delay_product():
     """Train bytes never exceed max(BDP, floor); overflow packets fall
     back to plain per-packet events (exact reference identity)."""
-    sim = Simulator(seed=1, fast=True)
+    sim = Simulator(seed=1, config=SimConfig(fast=True))
     # BDP = 1e6 * 0.001 = 1 KB < 64 KiB floor -> cap is the floor.
     pipe = DummynetPipe(sim, bandwidth=1e6, delay=0.001, name="p")
     assert pipe._train_cap == 64 * 1024
@@ -85,7 +86,7 @@ def test_train_bounded_by_bandwidth_delay_product():
 
 
 def test_train_bounded_by_max_packets():
-    sim = Simulator(seed=1, fast=True)
+    sim = Simulator(seed=1, config=SimConfig(fast=True))
     pipe = DummynetPipe(sim, bandwidth=1e9, delay=0.0, name="p")
     n = TRAIN_MAX_PACKETS + 50
     got = []
@@ -96,7 +97,7 @@ def test_train_bounded_by_max_packets():
 
 
 def test_unshaped_pipe_never_batches():
-    sim = Simulator(seed=1, fast=True)
+    sim = Simulator(seed=1, config=SimConfig(fast=True))
     pipe = DummynetPipe(sim, bandwidth=None, delay=0.01, name="p")
     got = []
     _burst(pipe, 20, deliver=lambda p: got.append(p.payload))
@@ -106,7 +107,7 @@ def test_unshaped_pipe_never_batches():
 
 
 def test_batch_false_opts_out_on_fast_sim():
-    sim = Simulator(seed=1, fast=True)
+    sim = Simulator(seed=1, config=SimConfig(fast=True))
     pipe = DummynetPipe(sim, bandwidth=1e6, delay=0.05, name="p", batch=False)
     got = []
     _burst(pipe, 20, deliver=lambda p: got.append(p.payload))
@@ -116,7 +117,7 @@ def test_batch_false_opts_out_on_fast_sim():
 
 
 def test_slow_sim_never_batches_by_default():
-    sim = Simulator(seed=1, fast=False)
+    sim = Simulator(seed=1, config=SimConfig(fast=False))
     pipe = DummynetPipe(sim, bandwidth=1e6, delay=0.05, name="p")
     _burst(pipe, 20, deliver=lambda p: None)
     sim.run()
@@ -258,7 +259,7 @@ def test_reconfigure_flushes_live_train_accounting():
     the new parameters apply — with the deferred-delivery ledger
     zeroed, the flushed entries keeping their reference identities, and
     the train machinery re-arming for traffic sent after the change."""
-    sim = Simulator(seed=1, observe=True, fast=True)
+    sim = Simulator(seed=1, observe=True, config=SimConfig(fast=True))
     pipe = DummynetPipe(sim, bandwidth=1e6, delay=0.05, name="p")
     got = []
     _burst(pipe, 20, deliver=lambda p: got.append((sim.now, p.payload)))
@@ -323,8 +324,8 @@ def test_reconfigure_mid_run_train_twin_identical():
 
 
 def test_pending_counts_coalesced_deliveries():
-    sim = Simulator(seed=1, fast=True)
-    slow = Simulator(seed=1, fast=False)
+    sim = Simulator(seed=1, config=SimConfig(fast=True))
+    slow = Simulator(seed=1, config=SimConfig(fast=False))
     for s in (sim, slow):
         pipe = DummynetPipe(s, bandwidth=1e6, delay=0.05, name="p")
         _burst(pipe, 25, deliver=lambda p: None)

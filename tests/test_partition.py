@@ -174,16 +174,14 @@ class TestSimConfig:
         assert sim.fast is False
         assert sim.config.fast is False
 
-    def test_legacy_kwargs_warn_and_map(self):
-        with pytest.warns(DeprecationWarning, match="SimConfig"):
-            sim = Simulator(seed=1, fast=False, flight=True)
+    def test_config_fast_and_flight_map_onto_simulator(self):
+        sim = Simulator(seed=1, config=SimConfig(fast=False, flight=True))
         assert sim.fast is False
         assert sim.config.flight is True
 
-    def test_legacy_kwargs_overlay_config(self):
-        with pytest.warns(DeprecationWarning):
-            sim = Simulator(config=SimConfig(fast=True), flight=True)
-        assert sim.config.fast is True  # config survives the overlay
+    def test_config_replace_keeps_other_fields(self):
+        sim = Simulator(config=SimConfig(fast=True).replace(flight=True))
+        assert sim.config.fast is True  # replace() keeps the other fields
         assert sim.config.flight is True
 
     def test_canonical_path_does_not_warn(self):
@@ -479,6 +477,15 @@ class TestCommandWorker:
         try:
             with pytest.raises(WorkerCrashed, match="worker-side failure"):
                 worker.request("boom", None)
+        finally:
+            worker.close()
+
+    def test_worker_survives_handler_exception(self):
+        worker = CommandWorker(_echo_factory, init_payload="init")
+        try:
+            with pytest.raises(WorkerCrashed, match="worker-side failure"):
+                worker.request("boom", None)
+            assert worker.request("cmd", 1) == ("init", "cmd", 1)
         finally:
             worker.close()
 

@@ -70,6 +70,21 @@ def must_not_run(request: RunRequest) -> RunResult:
     raise AssertionError("runner invoked for an already-checkpointed point")
 
 
+def pid_runner(request: RunRequest) -> RunResult:
+    """Reports which worker process ran the point. With ``fault`` set,
+    the first attempt of point ``x=1`` leaves its pid in a marker file
+    and then hard-crashes (``"crash"``) or hangs (``"hang"``)."""
+    fault = request.kwargs.get("fault")
+    if fault and request.kwargs["x"] == 1:
+        marker = pathlib.Path(request.kwargs["marker_dir"]) / "faulted"
+        if not marker.exists():
+            marker.write_text(str(os.getpid()))
+            if fault == "crash":
+                os._exit(17)
+            time.sleep(30.0)
+    return RunResult.ok(request, artifacts={"pid": os.getpid()})
+
+
 # ----------------------------------------------------------------------
 # RunRequest / RunResult protocol
 # ----------------------------------------------------------------------
@@ -196,14 +211,23 @@ class TestParallelDeterminism:
         assert one.json() == four.json()
 
     def test_fig6_parallel_matches_serial(self):
-        plan = ExecutionPlan.build(
-            "fig6",
-            grid={"rule_count": [0, 400]},
-            base_params={"pings_per_point": 1},
-        )
-        serial = execute_plan(plan, parallel=1, runner=_sweep_point_runner)
-        parallel = execute_plan(plan, parallel=2, runner=_sweep_point_runner)
-        assert serial.json() == parallel.json()
+        # fig7 generates packets: a persistent worker carries the packet
+        # id counter, free lists and probe table from point to point,
+        # and no output may depend on which worker ran which point.
+        plans = [
+            ExecutionPlan.build(
+                "fig6",
+                grid={"rule_count": [0, 400]},
+                base_params={"pings_per_point": 1},
+            ),
+            ExecutionPlan.build("fig7", replications=4),
+        ]
+        for plan in plans:
+            inline, serial, parallel = (
+                execute_plan(plan, parallel=n, runner=_sweep_point_runner).json()
+                for n in (0, 1, 2)
+            )
+            assert inline == serial == parallel
 
     def test_nondeterministic_doc_carries_runtime_metrics(self):
         outcome = execute_plan(PLAN, parallel=2, runner=square_runner)
@@ -268,6 +292,39 @@ class TestFaultTolerance:
         assert len(outcome.failed) == 1
         assert "timeout" in outcome.failed[0].error
         assert outcome.metrics["runtime.points_timeout"]["value"] == 1
+
+
+class TestPersistentPool:
+    PLAN = ExecutionPlan.build("toy", grid={"x": list(range(1, 9))})
+
+    def test_eight_points_run_on_two_workers(self):
+        outcome = execute_plan(self.PLAN, parallel=2, runner=pid_runner)
+        assert not outcome.failed
+        pids = {r.artifacts["pid"] for r in outcome.results}
+        assert len(pids) == 2
+        assert os.getpid() not in pids
+
+    @pytest.mark.parametrize("fault", ["crash", "hang"])
+    def test_replacement_worker_finishes_the_sweep(self, tmp_path, fault):
+        plan = ExecutionPlan.build(
+            "toy",
+            grid={"x": list(range(1, 9))},
+            base_params={"fault": fault, "marker_dir": str(tmp_path)},
+        )
+        outcome = execute_plan(
+            plan,
+            parallel=1,
+            runner=pid_runner,
+            timeout=2.0 if fault == "hang" else None,
+            retry_backoff=0.01,
+        )
+        assert not outcome.failed
+        assert outcome.results[0].attempts == 2
+        lost = int((tmp_path / "faulted").read_text())
+        pids = {r.artifacts["pid"] for r in outcome.results}
+        assert len(pids) == 1 and lost not in pids
+        timeouts = outcome.metrics["runtime.points_timeout"]["value"]
+        assert timeouts == (1 if fault == "hang" else 0)
 
 
 class TestCheckpointResume:

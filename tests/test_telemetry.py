@@ -304,6 +304,38 @@ class TestWatchdog:
         assert hub.check_stalls() == []
         hub.close()
 
+    def test_persistent_worker_progress_and_idle_beats(self):
+        # A pool worker's next point starts a fresh simulator (its sim
+        # clock goes down: that is progress), and an idle worker's
+        # probe-less beats promise liveness only.
+        hub = TelemetryHub(stall_after=1.0)
+        now = time.time()
+
+        def beat(source, ts, *sim_times):
+            hub.ingest({"ts": ts, "kind": "heartbeat", "source": source,
+                        "probes": [{"label": "cell/a", "sim_time": t,
+                                    "events": 0} for t in sim_times]})
+
+        beat("w0", now - 10.0, 50.0)
+        beat("w0", now, 1.0)
+        beat("w1", now - 10.0, 5.0)
+        beat("w1", now)
+        assert hub.check_stalls(emit=False) == []
+
+    def test_exited_workers_are_never_stalled(self):
+        plan = ExecutionPlan.build("toy", grid={"x": [1, 2, 3, 4]})
+        with TelemetryHub(stall_after=0.3) as hub:
+            execute_plan(plan, parallel=2, runner=double_runner,
+                         telemetry=hub, heartbeat_interval=0.1)
+            with telemetry.use_emitter(hub.emitter("main")):
+                run_partitioned(TestPartitionTelemetry.SPECS, until=20.0,
+                                config=SimConfig(partitions=2))
+            time.sleep(0.6)
+            health = hub.health()
+        assert any(s.startswith("sweep/pid") for s in health["workers"])
+        assert health["workers"]["repro-partition-0"]["exited"]
+        assert health["stalled"] == []
+
     def test_wedged_command_worker_is_flagged_mid_call(self, tmp_path):
         """Integration fixture (what CI's telemetry-smoke drives): a
         worker wedged inside a handler keeps heartbeating with frozen
