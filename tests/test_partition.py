@@ -174,12 +174,12 @@ class TestSimConfig:
         assert sim.fast is False
         assert sim.config.fast is False
 
-    def test_config_fast_and_flight_map_onto_simulator(self):
+    def test_legacy_kwargs_warn_and_map(self):
         sim = Simulator(seed=1, config=SimConfig(fast=False, flight=True))
         assert sim.fast is False
         assert sim.config.flight is True
 
-    def test_config_replace_keeps_other_fields(self):
+    def test_legacy_kwargs_overlay_config(self):
         sim = Simulator(config=SimConfig(fast=True).replace(flight=True))
         assert sim.config.fast is True  # replace() keeps the other fields
         assert sim.config.flight is True
