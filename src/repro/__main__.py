@@ -313,7 +313,6 @@ def run_sweep(argv: List[str]) -> int:
         outcome = execute_plan(
             plan,
             parallel=args.parallel,
-            runner=_sweep_point_runner,
             timeout=args.timeout,
             max_attempts=args.max_attempts,
             checkpoint_path=args.checkpoint,
@@ -348,12 +347,6 @@ def run_sweep(argv: List[str]) -> int:
         file=sys.stderr,
     )
     return 0 if not outcome.failed else 1
-
-
-def _sweep_point_runner(request):
-    """Module-level (spawn-picklable) runner: one sweep point through
-    the registry entry's per-point entry."""
-    return get_experiment(request.experiment_id).point_runner(request)
 
 
 def run_metrics(overrides: Dict[str, Any]) -> int:

@@ -15,14 +15,15 @@ entry point now speaks:
   rendered report, status/error, and (in-process only) the rich
   result object.
 
-Experiment modules keep their legacy ``run_figN(**kwargs)`` functions
-as thin shims; the canonical entry point is now a module-level
-``run(request: RunRequest) -> RunResult``. :func:`make_execute` builds
-such an entry point from a legacy ``(run, report)`` pair for modules
-that have no bespoke artifact extraction (the ablations).
+Each experiment module keeps its ``run_figN(**kwargs)`` function and
+exposes the protocol as a module-level ``run = make_execute(run_figN,
+print_report, ...)``; modules with a cheaper per-sweep-point entry also
+define ``run_point(request)``. :func:`run_kwargs` is the one mapping
+from a request to a run function's keyword arguments, shared by
+:func:`make_execute` and every ``run_point`` that calls a run function.
 
 The :mod:`repro.runtime` execution engine consumes exactly this
-protocol — see DESIGN.md, "The RunRequest/RunResult contract".
+protocol — see DESIGN.md, "The RunRequest → RunResult contract".
 """
 
 from __future__ import annotations
@@ -108,7 +109,8 @@ class RunRequest:
 
     @property
     def kwargs(self) -> Dict[str, Any]:
-        """The parameter dict to splat into a legacy run function."""
+        """A fresh copy of the parameter dict (see :func:`run_kwargs` for
+        the full keyword arguments a run function receives)."""
         return dict(self.params)
 
     @property
@@ -237,8 +239,8 @@ Execute = Callable[[RunRequest], RunResult]
 
 
 def default_artifacts(value: Any) -> Dict[str, Any]:
-    """Best-effort artifact extraction for legacy result objects:
-    every scalar (int/float/str/bool) dataclass field."""
+    """Best-effort artifact extraction for result objects without a
+    bespoke extractor: every scalar (int/float/str/bool) dataclass field."""
     artifacts: Dict[str, Any] = {}
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         for f in dataclasses.fields(value):
@@ -248,43 +250,49 @@ def default_artifacts(value: Any) -> Dict[str, Any]:
     return artifacts
 
 
+def run_kwargs(run: Callable[..., Any], request: RunRequest) -> Dict[str, Any]:
+    """The keyword arguments ``run`` receives for ``request``.
+
+    Starts from the request's params and adds the request's ``seed``,
+    ``partitions`` and ``fluid`` only where ``run`` accepts them, so a
+    deterministic CPU-model experiment never sees a seed and one that
+    cannot shard never sees ``partitions``. ``partitions`` and
+    ``fluid`` are added only when set. Explicit params win over all
+    three.
+    """
+    kwargs = request.kwargs
+    try:
+        params = inspect.signature(run).parameters
+        takes_seed = "seed" in params or any(
+            p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values()
+        )
+    except (TypeError, ValueError):  # builtins / C callables
+        params, takes_seed = {}, True
+    if takes_seed:
+        kwargs.setdefault("seed", request.seed)
+    if request.partitions is not None and "partitions" in params:
+        kwargs.setdefault("partitions", request.partitions)
+    if request.fluid is not None and "fluid" in params:
+        kwargs.setdefault("fluid", request.fluid)
+    return kwargs
+
+
 def make_execute(
     run: Callable[..., Any],
     report: Callable[[Any], str],
     artifacts: Optional[Callable[[Any], Dict[str, Any]]] = None,
 ) -> Execute:
-    """Adapt a legacy ``(run_figN, print_report)`` pair to the protocol.
+    """Adapt a ``(run_figN, print_report)`` pair to the protocol.
 
-    The request's ``seed`` is injected as the ``seed=`` kwarg when the
-    run function accepts one (deterministic CPU-model experiments take
-    no seed); explicit ``params['seed']`` overrides win for backwards
-    compatibility. ``request.partitions`` is forwarded the same way to
-    run functions that accept a ``partitions=`` kwarg — experiments
-    that cannot shard simply never see the knob.
+    ``run`` is called with :func:`run_kwargs`; its result becomes the
+    :class:`RunResult`'s ``value``, ``artifacts(value)`` (default:
+    :func:`default_artifacts`) its artifacts and ``report(value)`` its
+    report.
     """
     extract = artifacts if artifacts is not None else default_artifacts
-    try:
-        sig = inspect.signature(run)
-        var_kw = any(
-            p.kind is inspect.Parameter.VAR_KEYWORD for p in sig.parameters.values()
-        )
-        takes_seed = "seed" in sig.parameters or var_kw
-        takes_partitions = "partitions" in sig.parameters
-        takes_fluid = "fluid" in sig.parameters
-    except (TypeError, ValueError):  # builtins / C callables
-        takes_seed = True
-        takes_partitions = False
-        takes_fluid = False
 
     def execute(request: RunRequest) -> RunResult:
-        kwargs = request.kwargs
-        if takes_seed:
-            kwargs.setdefault("seed", request.seed)
-        if takes_partitions and request.partitions is not None:
-            kwargs.setdefault("partitions", request.partitions)
-        if takes_fluid and request.fluid is not None:
-            kwargs.setdefault("fluid", request.fluid)
-        value = run(**kwargs)
+        value = run(**run_kwargs(run, request))
         return RunResult.ok(
             request,
             value=value,

@@ -25,7 +25,7 @@ from repro.bittorrent.swarm import Swarm, SwarmConfig
 from repro.core.collector import completion_curve, progress_series
 from repro.core.report import sample_progress
 from repro.errors import ExperimentError
-from repro.experiments.api import RunRequest, RunResult
+from repro.experiments.api import RunRequest, RunResult, make_execute, run_kwargs
 from repro.sim.config import SimConfig
 from repro.sim.partition import CellHandle, CellSpec, PartitionResult, run_partitioned
 from repro.units import KB, MB
@@ -335,27 +335,16 @@ def _artifacts(result: Fig10Result) -> dict:
     return out
 
 
-def run(request: RunRequest) -> RunResult:
-    """Whole-figure entry point under the unified protocol."""
-    kwargs = request.kwargs
-    kwargs.setdefault("seed", request.seed)
-    if request.partitions is not None:
-        kwargs.setdefault("partitions", request.partitions)
-    result = run_fig10(**kwargs)
-    return RunResult.ok(
-        request, value=result, artifacts=_artifacts(result), report=print_report(result)
-    )
+run = make_execute(run_fig10, print_report, artifacts=_artifacts)
 
 
 def run_point(request: RunRequest) -> RunResult:
     """One sweep point: the scalability run at a single ``scale``
     (fraction of the paper's 5754 clients); the aggregate shows how
     the completion ramp evolves with swarm size."""
-    params = request.kwargs
+    params = run_kwargs(run_fig10, request)
     params.setdefault("scale", 0.01)
-    if request.partitions is not None:
-        params.setdefault("partitions", request.partitions)
-    result = run_fig10(seed=request.seed, **params)
+    result = run_fig10(**params)
     return RunResult.ok(
         request,
         value=result,

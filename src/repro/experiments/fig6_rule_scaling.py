@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.analysis.tables import Table
-from repro.experiments.api import RunRequest, RunResult
+from repro.experiments.api import RunRequest, RunResult, make_execute
 from repro.net.addr import IPv4Network
 from repro.net.ipfw import ACTION_COUNT
 from repro.net.ping import ping
@@ -147,14 +147,7 @@ def _artifacts(result: Fig6Result) -> dict:
     return doc
 
 
-def run(request: RunRequest) -> RunResult:
-    """Whole-figure entry point under the unified protocol."""
-    kwargs = request.kwargs
-    kwargs.setdefault("seed", request.seed)
-    result = run_fig6(**kwargs)
-    return RunResult.ok(
-        request, value=result, artifacts=_artifacts(result), report=print_report(result)
-    )
+run = make_execute(run_fig6, print_report, artifacts=_artifacts)
 
 
 def run_point(request: RunRequest) -> RunResult:

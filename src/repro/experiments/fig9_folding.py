@@ -16,7 +16,7 @@ from repro.analysis.series import relative_gap
 from repro.analysis.tables import Table
 from repro.bittorrent.swarm import Swarm, SwarmConfig
 from repro.core.collector import total_payload_curve
-from repro.experiments.api import RunRequest, RunResult
+from repro.experiments.api import RunRequest, RunResult, make_execute
 from repro.units import MB, gbps
 
 Series = List[Tuple[float, float]]
@@ -105,14 +105,7 @@ def _artifacts(result: Fig9Result) -> dict:
     }
 
 
-def run(request: RunRequest) -> RunResult:
-    """Whole-figure entry point under the unified protocol."""
-    kwargs = request.kwargs
-    kwargs.setdefault("seed", request.seed)
-    result = run_fig9(**kwargs)
-    return RunResult.ok(
-        request, value=result, artifacts=_artifacts(result), report=print_report(result)
-    )
+run = make_execute(run_fig9, print_report, artifacts=_artifacts)
 
 
 def run_point(request: RunRequest) -> RunResult:

@@ -60,7 +60,10 @@ partition driver's lookahead argument is untouched: all fluid activity
 is cell-local and never posts cross-cell messages). Between queue
 events, consecutive deliveries dispatch inline (advancing the clock)
 only when they provably precede everything in the event queue — the
-same rule packet trains use. ``REPRO_SLOW_PATH=1`` or
+same precedence rule packet trains use. Unlike trains, this stays on
+under a ``max_events`` budget and the profiler: inline deliveries are
+not counted as kernel events, so ``sim.kernel.events_processed`` is
+the same either way. ``REPRO_SLOW_PATH=1`` or
 ``SimConfig(fluid=False)`` disables the engine entirely; the tree then
 behaves byte-identically to the packet-only build.
 """
@@ -351,7 +354,7 @@ class FlowScheduler:
         self._m_demotions = registry.counter("net.fluid.demotions")
         self._m_defluidized = registry.counter("net.fluid.defluidized")
         # Wall-only: how deliveries were dispatched is a scheduling
-        # detail (profiler on/off changes it), not an emulation
+        # detail (``step()`` never dispatches inline), not an emulation
         # observable.
         self._m_inline = registry.counter("net.fluid.inline_deliveries", wall=True)
         self._m_dead = registry.counter("net.fluid.dead_deliveries", wall=True)
@@ -876,10 +879,15 @@ class FlowScheduler:
 
     def _fire(self) -> None:
         """Run every due heap action (hop bookings and deliveries),
-        then either dispatch the next one inline (same rule as packet
-        trains: provably precedes the whole event queue, inside a
-        permissive ``run()``, within the horizon) or re-materialize one
-        kernel event for it."""
+        then either dispatch the next one inline (it provably precedes
+        the whole event queue, we are inside a ``run()`` that has not
+        been stopped, and it lies within the horizon) or re-materialize
+        one kernel event for it.
+
+        Unlike packet trains, inline dispatch here does not depend on a
+        ``max_events`` budget or the profiler: inline deliveries are
+        not counted as kernel events, so the deterministic event count
+        must not depend on whether they ran inline."""
         self._event = None
         self._in_fire = True
         sim = self.sim
@@ -910,7 +918,7 @@ class FlowScheduler:
                 if (
                     t > sim.now
                     and precedes
-                    and sim._train_inline
+                    and sim._running
                     and not sim._stopped
                 ):
                     horizon = sim._horizon

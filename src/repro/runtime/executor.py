@@ -70,11 +70,12 @@ Runner = Callable[[RunRequest], RunResult]
 
 
 def registry_runner(request: RunRequest) -> RunResult:
-    """Default runner: resolve the experiment registry entry and
-    execute it through the unified RunRequest→RunResult protocol."""
+    """The plan runner: one point through its registry entry's
+    ``point`` callable (the whole-experiment ``execute`` for entries
+    without a per-point entry). Module-level, so spawn can pickle it."""
     from repro.experiments import get_experiment
 
-    return get_experiment(request.experiment_id).execute(request)
+    return get_experiment(request.experiment_id).point(request)
 
 
 def _describe(exc: BaseException) -> str:

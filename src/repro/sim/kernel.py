@@ -88,7 +88,9 @@ class Simulator:
         #: True while a train may dispatch coalesced deliveries inline
         #: (set by ``run()``; off under ``max_events`` budgets, while
         #: profiling, and outside ``run`` entirely, where every train
-        #: entry is re-materialised as a real queue event instead).
+        #: entry is re-materialised as a real queue event instead). The
+        #: fluid engine does not read it: its inline deliveries are not
+        #: events, so it dispatches inline whenever ``run()`` is active.
         self._train_inline = False
         #: Inline deliveries dispatched by trains this run; folded into
         #: ``events_processed`` so the count matches the reference path.
@@ -322,10 +324,7 @@ class Simulator:
             self.events_processed += processed
             self._m_events.inc(processed)
             self._m_runs.inc()
-            depth = len(queue) + self._deferred_deliveries
-            if self.fluid is not None:
-                depth += self.fluid.deferred
-            self._m_queue_depth.set(depth)
+            self._m_queue_depth.set(self.pending)
             self._running = False
 
     def step(self) -> bool:
@@ -340,7 +339,7 @@ class Simulator:
         callback(*args)
         self.events_processed += 1
         self._m_events.inc()
-        self._m_queue_depth.set(len(self._queue) + self._deferred_deliveries)
+        self._m_queue_depth.set(self.pending)
         return True
 
     def stop(self) -> None:

@@ -180,6 +180,6 @@ class TestRegistry:
 
     def test_get_experiment(self):
         entry = get_experiment("fig6")
-        assert callable(entry.run) and callable(entry.report)
+        assert callable(entry.execute) and callable(entry.point)
         with pytest.raises(KeyError):
             get_experiment("fig99")

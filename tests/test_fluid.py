@@ -293,3 +293,66 @@ def test_fig8_reduced_twin_within_tolerance():
         rf = run_fig8(seed=seed, fluid=True, **kw)
         dev = abs(rf.last_completion - rp.last_completion) / rp.last_completion
         assert dev <= TOLERANCE, (seed, rp.last_completion, rf.last_completion)
+
+
+# ----------------------------------------------------------------------
+# Kernel accounting with the engine on: pending work and event counts
+# ----------------------------------------------------------------------
+def _fluid_swarm():
+    from repro.bittorrent.swarm import Swarm, SwarmConfig
+
+    return Swarm(
+        SwarmConfig(leechers=6, file_size=1024 * 1024, seed=3, fluid=True)
+    )
+
+
+def test_every_pending_work_reading_is_sim_pending():
+    # Segments the engine holds outside the queue are pending work: the
+    # kernel gauge, the telemetry probe and the sampler's wall gauge
+    # must all count them, exactly as Simulator.pending does.
+    from repro.obs import telemetry
+    from repro.obs.timeseries import TimeSeriesSampler
+
+    swarm = _fluid_swarm()
+    swarm.launch()
+    sim = swarm.sim
+    gauge = sim.metrics.gauge("sim.kernel.queue_depth")
+    sampler = TimeSeriesSampler(sim, process_gauges=True)
+    label = telemetry.register_sim(sim, "fluid/pending")
+    held = 0
+    try:
+        for step in range(20000):
+            if not sim.step():
+                break
+            assert gauge.value == sim.pending, step
+            if sim.fluid.deferred and step % 50 == 0:
+                held += 1
+                (probe,) = [
+                    p for p in telemetry.sample_probes() if p["label"] == label
+                ]
+                assert probe["queue_depth"] == sim.pending
+                sampler.sample_now()
+                depth = sampler.wall_series["process.event_queue_depth"]
+                assert depth["value"][-1][1] == sim.pending
+    finally:
+        telemetry.unregister_probe(label)
+    assert held > 0  # the engine really held deliveries outside the queue
+    sim.run(until=sim.now + 5.0)
+    assert gauge.value == sim.pending
+
+
+def test_fluid_event_count_ignores_profiler_and_budget():
+    def snapshot(profile=False, until=None, max_events=None):
+        swarm = _fluid_swarm()
+        if profile:
+            swarm.sim.enable_profiler()
+        if until is None:
+            swarm.run()
+        else:
+            swarm.launch()
+            swarm.sim.run(until=until, max_events=max_events)
+        assert swarm.sim.metrics.get("net.fluid.segments").value > 0
+        return swarm.sim.metrics.snapshot()
+
+    assert snapshot() == snapshot(profile=True)
+    assert snapshot(until=3000.0) == snapshot(until=3000.0, max_events=10**9)

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.__main__ import _sweep_point_runner, main
+from repro.__main__ import main
 from repro.bittorrent.swarm import Swarm, SwarmConfig
 from repro.core import Experiment, ScenarioSpec
 from repro.experiments import EXPERIMENTS, RunRequest, RunResult, get_experiment
@@ -21,6 +21,7 @@ from repro.runtime import (
     ExecutionPlan,
     execute_plan,
     load_checkpoint,
+    registry_runner,
 )
 from repro.topology.presets import uniform_swarm
 from repro.units import MB
@@ -121,7 +122,7 @@ class TestRegistryProtocol:
     def test_every_entry_has_execute(self):
         for entry in EXPERIMENTS.values():
             assert callable(entry.execute), entry.id
-            assert callable(entry.point_runner), entry.id
+            assert callable(entry.point), entry.id
 
     def test_execute_small_experiment(self):
         entry = get_experiment("fig3")
@@ -131,9 +132,10 @@ class TestRegistryProtocol:
         assert "Figure 3" in result.report
 
     def test_legacy_shim_still_works(self):
-        entry = get_experiment("fig3")
-        legacy = entry.run(instances=10, seed=1)
-        assert "Figure 3" in entry.report(legacy)
+        from repro.experiments import fig3_fairness
+
+        legacy = fig3_fairness.run_fig3(instances=10, seed=1)
+        assert "Figure 3" in fig3_fairness.print_report(legacy)
 
     def test_seedless_run_function(self):
         # make_execute must not inject seed= into run functions that
@@ -224,7 +226,7 @@ class TestParallelDeterminism:
         ]
         for plan in plans:
             inline, serial, parallel = (
-                execute_plan(plan, parallel=n, runner=_sweep_point_runner).json()
+                execute_plan(plan, parallel=n, runner=registry_runner).json()
                 for n in (0, 1, 2)
             )
             assert inline == serial == parallel
@@ -485,6 +487,67 @@ class TestSweepCli:
         doc = json.loads(capsys.readouterr().out)
         seeds = [p["request"]["seed"] for p in doc["points"]]
         assert len(seeds) == 2 and seeds[0] != seeds[1]
+
+
+# ----------------------------------------------------------------------
+# The default plan runner: what the sweep CLI and the library both use
+# ----------------------------------------------------------------------
+
+
+#: Overrides that keep each entry's first default grid point small.
+SMALL_POINT = {
+    "fig6": {"pings_per_point": 1},
+    "fig9": {"leechers": 4, "seeders": 1, "file_size": 262144},
+    "fig10": {"file_size": 1048576},
+}
+SWEEPABLE = sorted(e.id for e in EXPERIMENTS.values() if e.sweep_grid)
+
+
+class TestDefaultRunner:
+    @pytest.mark.parametrize("experiment_id", SWEEPABLE)
+    def test_default_grid_point_runs(self, experiment_id):
+        entry = get_experiment(experiment_id)
+        grid = {key: values[:1] for key, values in entry.sweep_grid}
+        base = {**entry.sweep_base_dict, **SMALL_POINT.get(experiment_id, {})}
+        plan = ExecutionPlan.build(experiment_id, grid=grid, base_params=base)
+        outcome = execute_plan(plan, parallel=0)
+        assert [r.status for r in outcome.results] == ["ok"], [
+            r.error for r in outcome.results
+        ]
+
+    def test_library_plan_matches_cli_sweep(self, tmp_path, capsys):
+        from repro.analysis.export import write_sweep_json
+
+        cli, lib = tmp_path / "cli.json", tmp_path / "lib.json"
+        assert main([
+            "sweep", "fig6", "--parallel", "2", "rule_count=0,10000",
+            "pings_per_point=1", "--out", str(cli),
+        ]) == 0
+        capsys.readouterr()
+        plan = ExecutionPlan.build(
+            "fig6",
+            grid={"rule_count": (0, 10000)},
+            base_params={"pings_per_point": 1},
+        )
+        outcome = execute_plan(plan, parallel=2)
+        assert [r.status for r in outcome.results] == ["ok", "ok"]
+        write_sweep_json(lib, outcome)
+        assert lib.read_bytes() == cli.read_bytes()
+
+    def test_fig10_honours_fluid(self):
+        from repro.experiments.fig10_scalability import run_fig10
+
+        params = {"scale": 0.003, "file_size": 1048576}
+        expected = run_fig10(**params, seed=1, fluid=True).last_completion
+        entry = get_experiment("fig10")
+        fluid = RunRequest.make("fig10", params, seed=1, fluid=True)
+        assert entry.execute(fluid).artifacts["last_completion"] == expected
+        plan = ExecutionPlan.build("fig10", base_params=params, seeds=[1], fluid=True)
+        (point,) = execute_plan(plan, parallel=0).results
+        assert point.request == fluid
+        assert point.artifacts["last_completion"] == expected
+        packet = RunRequest.make("fig10", params, seed=1)
+        assert entry.execute(packet).artifacts["last_completion"] != expected
 
 
 # ----------------------------------------------------------------------
