@@ -8,7 +8,7 @@ streams the spec (no intermediate address/vnode lists), registers
 contiguous address runs as O(1) blocks, keeps shaping state as
 flyweight profiles with deferred ``DummynetPipe`` construction, and
 pauses the cyclic GC for the duration of the acyclic bulk build. The
-eager path (``REPRO_SLOW_PATH`` semantics, forced via ``lazy=False``)
+eager path (the reference path, selected with ``SimConfig(fast=False)``)
 is the seed behaviour: every pipe, name string and libc object built
 up front.
 
@@ -29,6 +29,7 @@ import os
 import time
 import tracemalloc
 
+from repro.sim import SimConfig
 from repro.topology.compiler import TopologyCompiler
 from repro.topology.spec import TopologySpec
 from repro.units import kbps, ms
@@ -65,24 +66,31 @@ def make_spec(n: int = N_VNODES) -> TopologySpec:
     return spec
 
 
-def build(lazy: bool, n: int = N_VNODES):
+def make_testbed(fast: bool) -> Testbed:
+    """An unobserved testbed on the fast (lazy) or reference (eager) path."""
+    return Testbed(
+        num_pnodes=N_PNODES, observe=False, sim_config=SimConfig(fast=fast)
+    )
+
+
+def build(fast: bool, n: int = N_VNODES):
     """Deploy an n-vnode spec; returns (compile_wall, compiler)."""
     spec = make_spec(n)
-    testbed = Testbed(num_pnodes=N_PNODES, observe=False)
+    testbed = make_testbed(fast)
     t0 = time.perf_counter()
-    compiler = TopologyCompiler(spec, testbed, lazy=lazy)
+    compiler = TopologyCompiler(spec, testbed)
     compiler.deploy()
     return time.perf_counter() - t0, compiler
 
 
-def retained_bytes_per_vnode(lazy: bool, n: int = N_VNODES) -> float:
+def retained_bytes_per_vnode(fast: bool, n: int = N_VNODES) -> float:
     """Live heap bytes retained per vnode by one build (tracemalloc)."""
     spec = make_spec(n)
-    testbed = Testbed(num_pnodes=N_PNODES, observe=False)
+    testbed = make_testbed(fast)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        compiler = TopologyCompiler(spec, testbed, lazy=lazy)
+        compiler = TopologyCompiler(spec, testbed)
         compiler.deploy()
         after = tracemalloc.get_traced_memory()[0]
     finally:
@@ -97,7 +105,7 @@ def test_topo_build_speedup(benchmark, bench_json):
     build(False, n=256)
 
     benchmark.pedantic(
-        build, kwargs={"lazy": True}, rounds=TIMING_ROUNDS, iterations=1
+        build, kwargs={"fast": True}, rounds=TIMING_ROUNDS, iterations=1
     )
     lazy_wall = min(build(True)[0] for _ in range(TIMING_ROUNDS))
     eager_wall = min(build(False)[0] for _ in range(TIMING_ROUNDS))

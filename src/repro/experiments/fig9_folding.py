@@ -16,7 +16,7 @@ from repro.analysis.series import relative_gap
 from repro.analysis.tables import Table
 from repro.bittorrent.swarm import Swarm, SwarmConfig
 from repro.core.collector import total_payload_curve
-from repro.experiments.api import RunRequest, RunResult, make_execute
+from repro.experiments.api import RunRequest, RunResult, make_execute, run_kwargs
 from repro.units import MB, gbps
 
 Series = List[Tuple[float, float]]
@@ -40,6 +40,7 @@ def run_fig9(
     seed: int = 0,
     max_time: float = 20000.0,
     port_bandwidth: float = gbps(1),
+    fluid: bool = False,
 ) -> Fig9Result:
     curves: Dict[int, Series] = {}
     last: Dict[int, float] = {}
@@ -51,6 +52,7 @@ def run_fig9(
             stagger=stagger,
             num_pnodes=pnodes,
             seed=seed,
+            fluid=fluid,
         )
         swarm = Swarm(config)
         swarm.testbed.switch.port_bandwidth = port_bandwidth
@@ -112,34 +114,21 @@ def run_point(request: RunRequest) -> RunResult:
     """One sweep point: the Figure 8 swarm at a single folding
     (``num_pnodes``); the sweep aggregate then compares final bytes
     and completion times across foldings."""
-    params = request.kwargs
-    pnodes = int(params.get("num_pnodes", 16))
-    leechers = int(params.get("leechers", 160))
-    seeders = int(params.get("seeders", 4))
-    config = SwarmConfig(
-        leechers=leechers,
-        seeders=seeders,
-        file_size=int(params.get("file_size", 16 * MB)),
-        stagger=float(params.get("stagger", 10.0)),
-        num_pnodes=pnodes,
-        seed=request.seed,
-    )
-    swarm = Swarm(config)
-    swarm.testbed.switch.port_bandwidth = float(
-        params.get("port_bandwidth", gbps(1))
-    )
-    last = swarm.run(max_time=float(params.get("max_time", 20000.0)))
-    curve = total_payload_curve(swarm.sim.trace, bucket=20.0)
+    kwargs = run_kwargs(run_fig9, request)
+    pnodes = int(kwargs.pop("num_pnodes", 16))
+    result = run_fig9(pnode_counts=(pnodes,), **kwargs)
+    last = result.last_completions[pnodes]
+    final_bytes = result.curves[pnodes][-1][1]
     return RunResult.ok(
         request,
         artifacts={
             "num_pnodes": pnodes,
-            "clients_per_pnode": -(-(leechers + seeders) // pnodes),
+            "clients_per_pnode": result.clients_per_pnode[0],
             "last_completion": last,
-            "final_bytes": curve[-1][1] if curve else 0.0,
+            "final_bytes": final_bytes,
         },
         report=(
             f"folding {pnodes} pnodes: last completion {last:.0f}s, "
-            f"final bytes {curve[-1][1] if curve else 0.0:.0f}"
+            f"final bytes {final_bytes:.0f}"
         ),
     )

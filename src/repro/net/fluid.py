@@ -63,9 +63,10 @@ only when they provably precede everything in the event queue — the
 same precedence rule packet trains use. Unlike trains, this stays on
 under a ``max_events`` budget and the profiler: inline deliveries are
 not counted as kernel events, so ``sim.kernel.events_processed`` is
-the same either way. ``REPRO_SLOW_PATH=1`` or
-``SimConfig(fluid=False)`` disables the engine entirely; the tree then
-behaves byte-identically to the packet-only build.
+the same either way. ``SimConfig(fluid=False)`` or a reference-path
+simulator (``SimConfig(fast=False)``, or ``REPRO_SLOW_PATH=1`` under
+the default) disables the engine entirely; the tree then behaves
+byte-identically to the packet-only build.
 """
 
 from __future__ import annotations

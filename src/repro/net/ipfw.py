@@ -27,8 +27,8 @@ so emulated latency, metrics snapshots and fig6's linear-vs-indexed
 comparison are byte-identical with the cache on or off — only wall
 clock changes. The cache is invalidated by every mutating operation
 (``add``/``delete``/``flush``/``add_pipe``) and by flipping
-``indexed``. ``REPRO_SLOW_PATH=1`` (see :mod:`repro.hotpath`) disables
-it by default.
+``indexed``. ``Firewall(flow_cache=False)`` is the reference scan; a
+:class:`~repro.net.stack.NetworkStack` passes its simulator's ``fast``.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from __future__ import annotations
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.errors import FirewallError
-from repro.hotpath import SLOW_PATH
 from repro.net.addr import IPv4Address, IPv4Network
 from repro.net.packet import Packet
 from repro.net.pipe import DummynetPipe
@@ -224,7 +223,7 @@ class Firewall:
         name: str = "ipfw",
         metrics=None,
         indexed: bool = False,
-        flow_cache: Optional[bool] = None,
+        flow_cache: bool = True,
     ) -> None:
         # Verdict flow cache: ``(src, dst, proto, direction) ->
         # (Verdict, matched Rule objects)``. Rules match on exactly
@@ -233,7 +232,7 @@ class Firewall:
         # accounting bit-for-bit (see module docstring). Initialised
         # first because the ``indexed`` property setter flushes it.
         self._flow_cache: Dict[Tuple[int, int, str, str], Tuple[Verdict, Tuple[Rule, ...]]] = {}
-        self.flow_cache_enabled = (not SLOW_PATH) if flow_cache is None else flow_cache
+        self.flow_cache_enabled = flow_cache
         #: Monotone counter bumped whenever a cached verdict could go
         #: stale (rule add/delete/flush, pipe table change, cost-model
         #: flip). The fluid flow engine (net/fluid.py) snapshots it per

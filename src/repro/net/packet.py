@@ -136,7 +136,7 @@ class Packet:
 
 
 # ----------------------------------------------------------------------
-# Packet pool (hot-path allocation cut; see repro.hotpath / DESIGN.md)
+# Packet pool (hot-path allocation cut; see DESIGN.md "Hot-path architecture")
 # ----------------------------------------------------------------------
 def acquire(
     src: IPv4Address,
@@ -156,8 +156,9 @@ def acquire(
     flight/trace output — is byte-identical with pooling on or off) and
     every field is reset. The only difference is wall-clock allocation
     cost. The pool is only ever *fed* when the owning simulator's
-    ``allow_packet_reuse`` flag is set (see :class:`NetworkStack`), so
-    the ``REPRO_SLOW_PATH=1`` reference run never recycles.
+    ``allow_packet_reuse`` flag is set (see :class:`NetworkStack`); it
+    starts as the simulator's ``fast``, so the reference run never
+    recycles.
     """
     if _pool:
         global packets_reused

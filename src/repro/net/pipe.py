@@ -118,7 +118,6 @@ class DummynetPipe:
         queue_limit: Optional[int] = None,
         name: str = "pipe",
         owner: Optional[str] = None,
-        batch: Optional[bool] = None,
     ) -> None:
         """
         Parameters
@@ -137,13 +136,13 @@ class DummynetPipe:
             or ``"switch"`` for fabric port pipes). Used by the flight
             recorder / Perfetto export for row attribution; defaults to
             the pipe name.
-        batch:
-            ``True`` coalesces back-to-back serialization events into
-            packet-train events (shaped pipes only); ``False`` keeps
-            the per-packet reference path. ``None`` (default) follows
-            ``sim.fast``. Batching is observationally invisible: every
-            delivery keeps the exact ``(time, priority, seq)`` identity
-            the per-packet path would have given it.
+
+        A shaped pipe on a ``sim.fast`` simulator coalesces
+        back-to-back serialization events into packet-train events;
+        otherwise every packet gets its own event (the reference path).
+        Batching is observationally invisible: every delivery keeps the
+        exact ``(time, priority, seq)`` identity the per-packet path
+        would have given it.
         """
         if bandwidth is not None and bandwidth <= 0:
             raise FirewallError(f"pipe bandwidth must be positive, got {bandwidth}")
@@ -172,7 +171,7 @@ class DummynetPipe:
         # architecture"). The deque holds coalesced deliveries as
         # ``(arrival_time, seq, deliver, packet)`` — each carrying the
         # burned sequence number the per-packet path would have used.
-        self._batch = bool(getattr(sim, "fast", False)) if batch is None else batch
+        self._batch = sim.fast
         self._train: deque = deque()
         self._train_live = False  # a head/continuation event will drain the deque
         self._train_bytes = 0

@@ -90,7 +90,11 @@ class NetworkStack:
         #: list, consulted (via the interface, which promotes hits into
         #: the set) only when the set misses and blocks exist.
         self._local_blocks = self.iface.alias_blocks
-        self.fw = Firewall(name=f"ipfw/{name}", metrics=getattr(sim, "metrics", None))
+        self.fw = Firewall(
+            name=f"ipfw/{name}",
+            metrics=getattr(sim, "metrics", None),
+            flow_cache=sim.fast,
+        )
         self.tcp = TcpLayer(self, explicit_acks=tcp_explicit_acks)
         self.udp = UdpLayer(self)
         self.switch = switch
@@ -155,8 +159,7 @@ class NetworkStack:
         # A tap may retain packet objects (sniffers hand them to user
         # code), so packet recycling is no longer safe anywhere on this
         # simulator: clear the sim-wide reuse flag permanently.
-        if getattr(self.sim, "allow_packet_reuse", False):
-            self.sim.allow_packet_reuse = False
+        self.sim.allow_packet_reuse = False
         # A tap must observe real packets: any fluid flow touching this
         # stack de-fluidizes, materializing its remaining bytes back
         # onto the packet path at the flow's current offset.
@@ -334,17 +337,13 @@ class NetworkStack:
         # parameter + getrefcount's argument. Any tap, flight hook or
         # experiment that kept a reference pushes the count higher and
         # the packet is simply left to the GC — always safe.
-        if (
-            pkt.pooled
-            and getattr(self.sim, "allow_packet_reuse", False)
-            and getrefcount(pkt) == 3
-        ):
+        if pkt.pooled and self.sim.allow_packet_reuse and getrefcount(pkt) == 3:
             release(pkt)
 
     # -- ICMP echo (ping) -------------------------------------------------------
     def _handle_icmp(self, pkt: Packet) -> None:
         if pkt.kind == "echo":
-            if pkt.pooled and getattr(self.sim, "allow_packet_reuse", False):
+            if pkt.pooled and self.sim.allow_packet_reuse:
                 # Turnaround reuse: the request dies in this callback,
                 # so flip it in place into the reply (fresh id — same
                 # one the constructed reply would have drawn).

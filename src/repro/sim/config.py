@@ -16,10 +16,17 @@ simulator's behaviour.
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
 from repro.errors import SimulationError
+
+#: ``REPRO_SLOW_PATH`` set to anything but ``""``/``"0"`` makes
+#: ``SimConfig(fast=None)`` select the reference path. Read once at
+#: import; spawn a subprocess to flip it for an A/B run. This is the
+#: only place in the package that reads the variable.
+_ENV_SLOW_PATH: bool = os.environ.get("REPRO_SLOW_PATH", "") not in ("", "0")
 
 
 @dataclass(frozen=True)
@@ -29,9 +36,14 @@ class SimConfig:
     Attributes
     ----------
     fast:
-        Hot-path selection: ``True`` = calendar queue + pooling,
-        ``False`` = reference path, ``None`` (default) = follow the
-        ``REPRO_SLOW_PATH`` environment escape hatch.
+        The one hot-path switch (DESIGN.md, "Hot-path architecture").
+        ``True`` turns on all five wall-clock optimisations of the
+        owning simulator: the calendar event queue, pipe packet trains,
+        packet pooling, the ipfw verdict flow cache and lazy topology
+        pipes. ``False`` selects the unoptimised reference path for
+        all five. ``None`` (default) is ``True`` unless
+        ``REPRO_SLOW_PATH=1`` is set. Results are byte-identical
+        either way; only wall clock changes.
     flight:
         Attach a :class:`~repro.obs.flight.FlightRecorder` (requires an
         observing simulator).
@@ -39,9 +51,6 @@ class SimConfig:
         Attach the wall-clock event-loop profiler from construction
         (equivalent to calling :meth:`Simulator.enable_profiler` before
         the first ``run()``).
-    allow_packet_reuse:
-        Force the packet pool on/off; ``None`` (default) follows
-        ``fast`` (pooling on exactly on the hot path).
     partitions:
         Worker processes a partitioned run may use
         (:mod:`repro.sim.partition`). ``1`` = a single worker; the
@@ -55,8 +64,8 @@ class SimConfig:
         Attach a :class:`~repro.net.fluid.FlowScheduler` to the
         simulator: eligible long-lived bulk TCP transfers are modelled
         as *flows* advanced by rate-change epochs instead of per-packet
-        events. Only effective on the fast path; ``REPRO_SLOW_PATH=1``
-        always selects the reference packet path regardless.
+        events. Only effective on the fast path: a simulator whose
+        ``fast`` resolves to ``False`` keeps the packet path.
     fluid_threshold:
         Minimum wire size (bytes, TCP header included) a segment must
         reach to be eligible for the fluid path; smaller transfers stay
@@ -66,7 +75,6 @@ class SimConfig:
     fast: Optional[bool] = None
     flight: bool = False
     profiler: bool = False
-    allow_packet_reuse: Optional[bool] = None
     partitions: int = 1
     lookahead: Optional[float] = None
     fluid: bool = False
@@ -85,6 +93,12 @@ class SimConfig:
             raise SimulationError(
                 f"fluid_threshold must be >= 1, got {self.fluid_threshold!r}"
             )
+
+    @property
+    def resolved_fast(self) -> bool:
+        """``fast`` with its ``None`` default resolved from
+        ``REPRO_SLOW_PATH`` (what :attr:`Simulator.fast` is set to)."""
+        return not _ENV_SLOW_PATH if self.fast is None else self.fast
 
     def replace(self, **changes: Any) -> "SimConfig":
         """A copy with ``changes`` applied (frozen-dataclass idiom)."""

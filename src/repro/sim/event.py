@@ -8,9 +8,10 @@ heap internals.
 Two queue implementations live behind one API (DESIGN.md, "Hot-path
 architecture"):
 
-* **heap-only** (``calendar=False``, the ``REPRO_SLOW_PATH=1``
-  reference path): a binary heap of ``(time, priority, seq, event)``
-  tuples with lazy cancellation, exactly the pre-optimisation kernel;
+* **heap-only** (``calendar=False``, what a ``Simulator`` with
+  ``fast`` off builds): a binary heap of ``(time, priority, seq,
+  event)`` tuples with lazy cancellation, exactly the
+  pre-optimisation kernel;
 * **calendar fast path** (the default): a bucketed near-future window
   in front of the heap. Events landing inside the current window go
   straight into a fixed-width bucket (O(1) append); each bucket is
@@ -54,7 +55,6 @@ from bisect import bisect_left, insort
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.hotpath import SLOW_PATH
 
 #: Default priority; lower fires first among same-time events.
 PRIORITY_NORMAL = 0
@@ -189,8 +189,9 @@ class EventQueue:
     ----------
     calendar:
         ``True`` enables the bucketed near-future tier (the fast
-        path); ``False`` is the heap-only reference implementation.
-        ``None`` (default) follows :data:`repro.hotpath.SLOW_PATH`.
+        path, the default); ``False`` is the heap-only reference
+        implementation. :class:`~repro.sim.kernel.Simulator` passes
+        its ``fast``.
 
     Invariant of the calendar tier: every heap entry's time is
     ``>= _win_end`` and every near entry's time is ``< _win_end``, so
@@ -213,11 +214,11 @@ class EventQueue:
         "_heap_sorted", "_miss_near", "_miss_span",
     )
 
-    def __init__(self, calendar: Optional[bool] = None) -> None:
+    def __init__(self, calendar: bool = True) -> None:
         self._heap: list[tuple] = []
         self._seq = 0
         self._live = 0
-        self._calendar = (not SLOW_PATH) if calendar is None else calendar
+        self._calendar = calendar
         self._free: list[Event] = []
         # Near-future calendar tier (unused when ``calendar`` is off).
         self._span = NEAR_BUCKETS * BUCKET_WIDTH

@@ -7,7 +7,6 @@ from time import perf_counter
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.hotpath import SLOW_PATH
 from repro.obs.flight import FlightRecorder, NULL_FLIGHT
 from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
 from repro.obs.profile import EventLoopProfiler, NULL_PROFILER
@@ -39,8 +38,8 @@ class Simulator:
         ``False`` swaps every instrument for its shared NULL no-op.
     config:
         A :class:`~repro.sim.config.SimConfig` naming every behaviour
-        knob (hot path, flight recording, profiler, packet reuse,
-        partitioning). This is the canonical configuration surface.
+        knob (hot path, flight recording, profiler, partitioning).
+        This is the canonical configuration surface.
 
     Examples
     --------
@@ -62,16 +61,15 @@ class Simulator:
         self.config: SimConfig = config if config is not None else SimConfig()
         config = self.config
         self.now: float = 0.0
-        self.fast = (not SLOW_PATH) if config.fast is None else config.fast
+        #: The hot-path switch (:attr:`SimConfig.fast`, resolved): every
+        #: component built on this simulator takes its fast-or-reference
+        #: mode from here.
+        self.fast: bool = config.resolved_fast
         self._queue = EventQueue(calendar=self.fast)
         #: Transports may recycle pooled packets when this is True; it
-        #: is cleared whenever a packet tap is installed (a tap may
-        #: retain packet objects) and on the slow reference path.
-        self.allow_packet_reuse = (
-            self.fast
-            if config.allow_packet_reuse is None
-            else config.allow_packet_reuse
-        )
+        #: starts as ``fast`` and is cleared whenever a packet tap is
+        #: installed (a tap may retain packet objects).
+        self.allow_packet_reuse = self.fast
         self.rng = RngRegistry(seed)
         self.trace = TraceRecorder()
         self._running = False
@@ -130,10 +128,10 @@ class Simulator:
             "sim.kernel.callback_seconds", edges=CALLBACK_SECONDS_EDGES, wall=True
         )
         #: Flow-level transfer engine (net/fluid.py), or ``None``.
-        #: Requires the fast path; ``REPRO_SLOW_PATH=1`` always selects
-        #: the reference packet path regardless of the config.
+        #: Requires the fast path; the reference path always keeps
+        #: the packet path.
         self.fluid = None
-        if config.fluid and self.fast and not SLOW_PATH:
+        if config.fluid and self.fast:
             from repro.net.fluid import FlowScheduler
 
             self.fluid = FlowScheduler(self, threshold=config.fluid_threshold)

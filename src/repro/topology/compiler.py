@@ -32,8 +32,9 @@ first matching packet is in exactly the state (idle, zero backlog,
 name-derived RNG stream) the eager pipe would be in at that moment,
 and registration bypasses the flow-cache/generation invalidation
 because nothing can have cached a path through a pipe that did not
-exist. ``REPRO_SLOW_PATH=1`` keeps the eager reference path; the
-subprocess A/B tests prove byte-identity.
+exist. A testbed whose simulator has ``fast`` off
+(``SimConfig(fast=False)``, or ``REPRO_SLOW_PATH=1`` under the default)
+keeps the eager reference path; the A/B tests prove byte-identity.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import gc
 from typing import Dict, List, Optional
 
 from repro.errors import FirewallError, TopologyError
-from repro.hotpath import SLOW_PATH
 from repro.net.ipfw import ACTION_PIPE, DIR_IN, DIR_OUT, Firewall, Rule
 from repro.net.pipe import DummynetPipe, ShapingProfile
 from repro.obs.metrics import NULL_REGISTRY
@@ -148,20 +148,18 @@ class _GroupPipeFactory:
 class TopologyCompiler:
     """Deploys a :class:`TopologySpec` onto a :class:`Testbed`.
 
-    ``lazy=None`` (default) follows the hot-path switch: pipes are
-    deferred to first use unless ``REPRO_SLOW_PATH=1`` selects the
-    eager reference path. ``lazy=False`` forces eager compilation (the
-    seed behaviour — every pipe, name and libc built up front), which
-    is what the topology benchmark measures against.
+    Follows the hot-path switch of the testbed's simulator: with
+    ``testbed.sim.fast`` on, pipes are deferred to first use, vnodes
+    are block-registered and the cyclic GC is paused during deploy;
+    with it off, compilation is eager (every pipe, name and libc built
+    up front), the reference the topology benchmark measures against.
     """
 
-    def __init__(
-        self, spec: TopologySpec, testbed: Testbed, lazy: Optional[bool] = None
-    ) -> None:
+    def __init__(self, spec: TopologySpec, testbed: Testbed) -> None:
         spec.validate()
         self.spec = spec
         self.testbed = testbed
-        self.lazy = (not SLOW_PATH) if lazy is None else lazy
+        self.lazy: bool = testbed.sim.fast
         self.vnodes_by_group: Dict[str, List[VirtualNode]] = {}
         self.rules_installed = 0
         self.pipes_installed = 0
@@ -415,10 +413,9 @@ def compile_topology(
     spec: TopologySpec,
     testbed: Testbed,
     placement: str = PLACEMENT_BLOCK,
-    lazy: Optional[bool] = None,
 ) -> TopologyCompiler:
     """One-shot helper: deploy ``spec`` onto ``testbed`` and return the
     compiler (for group lookups and stats)."""
-    compiler = TopologyCompiler(spec, testbed, lazy=lazy)
+    compiler = TopologyCompiler(spec, testbed)
     compiler.deploy(placement=placement)
     return compiler

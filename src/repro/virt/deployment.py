@@ -28,7 +28,11 @@ PLACEMENT_ROUND_ROBIN = "round-robin"
 
 
 class Testbed:
-    """The emulated cluster: switch + physical nodes + virtual nodes."""
+    """The emulated cluster: switch + physical nodes + virtual nodes.
+
+    ``sim_config`` configures the simulator the testbed builds; it is
+    ignored when an existing ``sim`` is passed in.
+    """
 
     __test__ = False  # not a pytest test class despite the Test* name
 
@@ -44,15 +48,10 @@ class Testbed:
         enforce_cpu: bool = False,
         tcp_explicit_acks: bool = False,
         observe: bool = True,
-        flight: bool = False,
         sim_config: Optional[SimConfig] = None,
     ) -> None:
         if num_pnodes < 1:
             raise VirtualizationError(f"need at least one physical node, got {num_pnodes}")
-        if sim_config is None:
-            sim_config = SimConfig(flight=flight)
-        elif flight:
-            sim_config = sim_config.replace(flight=True)
         self.sim = (
             sim if sim is not None
             else Simulator(seed=seed, observe=observe, config=sim_config)

@@ -32,7 +32,7 @@ def make_two_hop_testbed(plr: float = 0.0, flight: bool = True):
         seed=0,
         port_bandwidth=float(2**27),  # bytes/s, dyadic
         port_delay=2.0**-10,
-        flight=flight,
+        sim_config=SimConfig(flight=flight),
     )
     spec = TopologySpec(name="twohop")
     spec.add_group(

@@ -9,6 +9,8 @@ risk, plus the headline acceptance proof:
   the ``delete``/``flush`` per-rule ``hits`` reset;
 * the **packet pool** — fresh ids on reuse (the id stream is part of
   the deterministic surface) and tap-induced opt-out;
+* the **in-process reference twin** — ``SimConfig(fast=False)`` alone
+  turns off every fast path, with output byte-identical to ``fast=True``;
 * the **subprocess A/B determinism proof** — the metrics snapshot and
   the Chrome trace of a small swarm are byte-identical between the
   optimised path and ``REPRO_SLOW_PATH=1``, under two different
@@ -23,12 +25,15 @@ import sys
 import pytest
 
 import repro
+from repro.analysis.export import metrics_json
+from repro.bittorrent import Swarm, SwarmConfig
 from repro.net import packet as packet_mod
 from repro.net.addr import IPv4Address, IPv4Network
 from repro.net.ipfw import ACTION_ALLOW, ACTION_COUNT, ACTION_DENY, ACTION_PIPE, Firewall
 from repro.net.packet import PROTO_TCP, Packet, acquire, release, retag
 from repro.net.pipe import DummynetPipe
 from repro.sim import SimConfig, Simulator
+from repro.units import MB
 
 SRC_DIR = str(pathlib.Path(repro.__file__).resolve().parent.parent)
 
@@ -204,6 +209,51 @@ class TestPacketPool:
     def test_slow_path_sim_never_reuses(self):
         sim = Simulator(seed=0, observe=False, config=SimConfig(fast=False))
         assert sim.allow_packet_reuse is False
+
+
+def _twin_swarm(fast):
+    """The 4-leecher 1 MiB swarm on a simulator whose only hot-path
+    input is ``SimConfig(fast=...)``; returns (swarm, lazy pipes
+    pending right after deploy, deterministic metrics JSON)."""
+    sim = Simulator(seed=3, config=SimConfig(fast=fast))
+    swarm = Swarm(
+        SwarmConfig(leechers=4, seeders=1, file_size=1 * MB, num_pnodes=2, seed=3),
+        sim=sim,
+    )
+    pending = swarm.compiler.stats()["lazy_pipes_pending"]
+    swarm.run(max_time=20000)
+    doc = metrics_json(
+        swarm.manifest(wall_time_seconds=None),
+        swarm.metrics_snapshot(),
+        sim.tracer.as_list(),
+        deterministic_only=True,
+    )
+    return swarm, pending, doc
+
+
+def _wall_counter(sim, name):
+    return sim.metrics.counter(name, wall=True).value
+
+
+def test_in_process_reference_twin_selects_every_reference_path():
+    """``SimConfig(fast=False)`` alone switches off all five fast paths
+    in-process (no ``REPRO_SLOW_PATH``), and the result is
+    byte-identical to the ``fast=True`` twin."""
+    fast, fast_pending, fast_doc = _twin_swarm(True)
+    slow, slow_pending, slow_doc = _twin_swarm(False)
+    assert fast.sim.fast is True and slow.sim.fast is False
+    # The fast twin really exercised the optimisations...
+    assert _wall_counter(fast.sim, "net.ipfw.flow_cache_hits") > 0
+    assert _wall_counter(fast.sim, "net.pipe.trains") > 0
+    assert fast_pending > 0
+    assert fast.sim.allow_packet_reuse is True
+    # ...and the reference twin used none of them.
+    assert _wall_counter(slow.sim, "net.ipfw.flow_cache_hits") == 0
+    assert _wall_counter(slow.sim, "net.pipe.trains") == 0
+    assert slow_pending == 0
+    assert slow.sim.allow_packet_reuse is False
+    assert slow.sim._queue._calendar is False
+    assert slow_doc == fast_doc
 
 
 #: One child per (path, hash seed): runs a small flight-recorded swarm

@@ -106,16 +106,6 @@ def test_unshaped_pipe_never_batches():
     assert _trains(sim) == 0 and _coalesced(sim) == 0
 
 
-def test_batch_false_opts_out_on_fast_sim():
-    sim = Simulator(seed=1, config=SimConfig(fast=True))
-    pipe = DummynetPipe(sim, bandwidth=1e6, delay=0.05, name="p", batch=False)
-    got = []
-    _burst(pipe, 20, deliver=lambda p: got.append(p.payload))
-    sim.run()
-    assert got == list(range(20))
-    assert _trains(sim) == 0 and _coalesced(sim) == 0
-
-
 def test_slow_sim_never_batches_by_default():
     sim = Simulator(seed=1, config=SimConfig(fast=False))
     pipe = DummynetPipe(sim, bandwidth=1e6, delay=0.05, name="p")

@@ -549,6 +549,23 @@ class TestDefaultRunner:
         packet = RunRequest.make("fig10", params, seed=1)
         assert entry.execute(packet).artifacts["last_completion"] != expected
 
+    def test_fig9_honours_fluid(self):
+        from repro.experiments.fig9_folding import run_fig9
+
+        swarm = {"leechers": 4, "seeders": 1, "file_size": 1048576}
+        expected = run_fig9(pnode_counts=(2,), **swarm, fluid=True)
+        entry = get_experiment("fig9")
+        point = RunRequest.make("fig9", {"num_pnodes": 2, **swarm}, fluid=True)
+        result = entry.point(point)
+        assert result.artifacts["last_completion"] == expected.last_completions[2]
+        assert result.artifacts["final_bytes"] == expected.curves[2][-1][1]
+        execute = RunRequest.make(
+            "fig9", {"pnode_counts": (2,), **swarm}, fluid=True
+        )
+        assert entry.execute(execute).value == expected
+        packet = entry.point(RunRequest.make("fig9", {"num_pnodes": 2, **swarm}))
+        assert packet.artifacts["last_completion"] != expected.last_completions[2]
+
 
 # ----------------------------------------------------------------------
 # ScenarioSpec (shared Experiment/Swarm knobs)

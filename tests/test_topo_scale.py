@@ -20,6 +20,7 @@ import pytest
 import repro
 from repro.errors import FirewallError
 from repro.net.ping import ping
+from repro.sim import SimConfig
 from repro.topology import TopologySpec, compile_topology
 from repro.topology.presets import uniform_swarm
 from repro.units import kbps, ms
@@ -91,9 +92,9 @@ def test_fig10_lazy_eager_byte_identical_across_hash_seeds():
 def test_idle_vnode_never_materializes_pipes():
     """Traffic between two vnodes must not build Dummynet state for
     the other vnodes on the same physical nodes."""
-    testbed = Testbed(num_pnodes=2)
+    testbed = Testbed(num_pnodes=2, sim_config=SimConfig(fast=True))
     spec = uniform_swarm(4, prefix="10.0.0.0/24")
-    comp = compile_topology(spec, testbed, lazy=True)
+    comp = compile_topology(spec, testbed)
     v1, v2, v3, v4 = comp.vnodes("peers")
 
     stats = comp.stats()
@@ -131,9 +132,9 @@ def test_lazy_and_eager_install_identical_rule_tables():
     spec.add_group("b", "10.2.0.0/24", 3, down_bw=kbps(512))
     spec.add_latency("a", "b", ms(100))
 
-    def table(lazy):
-        testbed = Testbed(num_pnodes=2)
-        compile_topology(spec, testbed, lazy=lazy)
+    def table(fast):
+        testbed = Testbed(num_pnodes=2, sim_config=SimConfig(fast=fast))
+        compile_topology(spec, testbed)
         return [
             [
                 (r.number, r.action, str(r.src), str(r.dst), r.direction)
@@ -142,14 +143,14 @@ def test_lazy_and_eager_install_identical_rule_tables():
             for pnode in testbed.pnodes
         ]
 
-    assert table(lazy=True) == table(lazy=False)
+    assert table(fast=True) == table(fast=False)
 
 
 def test_access_pipes_materialize_on_demand():
     """The control-plane hook works before any packet has flowed."""
-    testbed = Testbed(num_pnodes=1)
+    testbed = Testbed(num_pnodes=1, sim_config=SimConfig(fast=True))
     spec = uniform_swarm(2, prefix="10.0.0.0/24")
-    comp = compile_topology(spec, testbed, lazy=True)
+    comp = compile_topology(spec, testbed)
     v1, _ = comp.vnodes("peers")
     up, down = comp.access_pipes(v1)
     assert up is not None and down is not None
@@ -189,11 +190,13 @@ def test_lazy_100k_deploy_stays_under_per_vnode_memory_budget():
         "peers", "10.0.0.0/8", 100_000,
         down_bw=kbps(1024), up_bw=kbps(512), latency=ms(20),
     )
-    testbed = Testbed(num_pnodes=128, observe=False)
+    testbed = Testbed(
+        num_pnodes=128, observe=False, sim_config=SimConfig(fast=True)
+    )
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        comp = compile_topology(spec, testbed, lazy=True)
+        comp = compile_topology(spec, testbed)
         after = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
